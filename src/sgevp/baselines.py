@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .decomposition import ProblemInstance, SolveTrace, initial_point, objective, relative_decrease
+from .decomposition import ProblemInstance, SolveTrace, initial_point, objective
 from .errors import ConfigError, RequiresIdentityC
 
 
@@ -17,7 +17,6 @@ class BaselineConfig:
     step_size: float | None = None  # TRF only; default 1/(2*||A||_F)
     max_iters: int = 1000
     tol: float = 1e-8
-    seed: int = 0
 
     def validate(self) -> None:
         if self.step_size is not None and self.step_size <= 0:
@@ -71,12 +70,7 @@ def truncated_power_method(
             break
         x_new = y / norm
         f_new = objective(problem, x_new)
-        r_t = relative_decrease(f, f_new)
-        trace.objectives.append(f_new)
-        trace.rel_decreases.append(r_t)
-        trace.denominators.append(float(x_new @ problem.C @ x_new))
-        trace.step_norms.append(float(np.linalg.norm(x_new - x)))
-        trace.seconds.append(time.perf_counter() - start)
+        trace.record(x, x_new, f, f_new, float(x_new @ problem.C @ x_new), start)
         converged = abs(f - f_new) <= cfg.tol * (1.0 + abs(f))
         x, f = x_new, f_new
         if converged:
@@ -120,11 +114,7 @@ def truncated_rayleigh_flow(
                 x_new, f_new = trial, f_trial
                 break
             eta *= 0.5
-        trace.objectives.append(f_new)
-        trace.rel_decreases.append(relative_decrease(f, f_new))
-        trace.denominators.append(float(x_new @ problem.C @ x_new))
-        trace.step_norms.append(float(np.linalg.norm(x_new - x)))
-        trace.seconds.append(time.perf_counter() - start)
+        trace.record(x, x_new, f, f_new, float(x_new @ problem.C @ x_new), start)
         converged = abs(f - f_new) <= cfg.tol * (1.0 + abs(f))
         x, f = x_new, f_new
         if converged:

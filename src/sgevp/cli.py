@@ -43,14 +43,19 @@ from .errors import (
 
 TRACE_SCHEMA = 1
 
+# CLI option -> DecompositionConfig field
+_CONFIG_FIELDS = {
+    "theta": "theta",
+    "epsilon": "epsilon",
+    "window": "window",
+    "max_iters": "max_iters",
+    "k": "k",
+    "random": "random_count",
+    "swap": "swap_count",
+}
 DEFAULTS = {
-    "theta": 1e-5,
-    "epsilon": 1e-5,
-    "window": 50,
-    "max_iters": 1000,
-    "k": 12,
-    "random": 6,
-    "swap": 6,
+    option: getattr(decomposition.DecompositionConfig(), name)
+    for option, name in _CONFIG_FIELDS.items()
 }
 
 _CONFIG_ERRORS = (ConfigError, InvalidK, InsufficientCoordinates, RequiresIdentityC)
@@ -130,18 +135,12 @@ def build_problem(app: str, data: problems.Dataset, s: int) -> decomposition.Pro
 def run_solver(problem, solver: str, s: int, args) -> decomposition.SolveTrace:
     if solver in ("dec-b", "dec-c"):
         config = decomposition.DecompositionConfig(
-            k=args.k,
-            theta=args.theta,
-            random_count=args.random,
-            swap_count=args.swap,
+            **{name: getattr(args, option) for option, name in _CONFIG_FIELDS.items()},
             subsolver="bisection" if solver == "dec-b" else "coordinate-descent",
-            epsilon=args.epsilon,
-            window=args.window,
-            max_iters=args.max_iters,
             seed=args.seed,
         )
         return decomposition.solve(problem, config)
-    cfg = baselines.BaselineConfig(max_iters=args.max_iters, seed=args.seed)
+    cfg = baselines.BaselineConfig(max_iters=args.max_iters)
     if solver == "tpm":
         return baselines.truncated_power_method(problem, s, cfg)
     if solver == "trf":
@@ -227,11 +226,8 @@ def cmd_bench(args) -> int:
     data = load_dataset(args)
     solvers = [token.strip() for token in args.solvers.split(",") if token.strip()]
     s_list = [int(token) for token in args.s_list.split(",")]
-    params = {
-        "k": args.k, "random": args.random, "swap": args.swap, "theta": args.theta,
-        "epsilon": args.epsilon, "window": args.window, "max_iters": args.max_iters,
-        "seed": args.seed,
-    }
+    params = {option: getattr(args, option) for option in _CONFIG_FIELDS}
+    params["seed"] = args.seed
     jobs = [
         (args.app, data.X, data.y, data.name, solver, s, params)
         for solver in solvers for s in s_list

@@ -20,19 +20,20 @@ from . import linalg
 from .errors import (
     ConfigError,
     DenominatorCollapse,
-    InsufficientCoordinates,
+    NonFinite,
     TooLarge,
     ZeroVector,
 )
 from .fractional1d import OneDimCoefficients, solve_1d
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
 from .working_set import (
-    Provenance,
     WorkingSetSelection,
+    descent_matrix,
     select_hybrid,
     select_random,
     support_and_zero,
-    swap_descent,
+    swap_descent,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
+    swap_row,
 )
 
 DENOMINATOR_FLOOR = 1e-14
@@ -54,6 +55,8 @@ class ProblemInstance:
         self.s = int(self.s)
         if self.A.shape != self.C.shape:
             raise ConfigError("A and C must have the same shape")
+        if not np.all(np.isfinite(self.A)):
+            raise NonFinite("A contains NaN or Inf")
         n = self.A.shape[0]
         if not 1 <= self.s <= n:
             raise ConfigError(f"sparsity budget {self.s} outside [1, {n}]")
@@ -77,8 +80,6 @@ class DecompositionConfig:
     max_iters: int = 1000
     seed: int = 0
     time_limit: float | None = None
-    swap_literal: bool = False
-    random_init: bool = False
     polish: bool = True
 
     def validate(self, problem: ProblemInstance) -> None:
@@ -110,6 +111,16 @@ class SolveTrace:
     x: np.ndarray | None = None
     reason: str = ""
 
+    def record(self, x_old, x_new, f_old, f_new, denominator, start, working_set=None):
+        """Append one step; ``denominator`` is x_new'C x_new."""
+        self.objectives.append(f_new)
+        self.rel_decreases.append(relative_decrease(f_old, f_new))
+        if working_set is not None:
+            self.working_sets.append(np.asarray(working_set))
+        self.denominators.append(denominator)
+        self.step_norms.append(float(np.linalg.norm(x_new - x_old)))
+        self.seconds.append(time.perf_counter() - start)
+
     @property
     def iterations(self) -> int:
         return len(self.rel_decreases)
@@ -134,15 +145,6 @@ def initial_point(problem: ProblemInstance) -> np.ndarray:
     return x
 
 
-def random_initial_point(problem: ProblemInstance, rng: np.random.Generator) -> np.ndarray:
-    support = rng.choice(problem.dim, size=problem.s, replace=False)
-    x = np.zeros(problem.dim)
-    x[support] = rng.standard_normal(problem.s)
-    if not np.any(x):
-        x[support[0]] = 1.0
-    return x
-
-
 def relative_decrease(f_old: float, f_new: float) -> float:
     """Stopping-rule ratio; uses |f| in the denominator so negative
     objectives (PCA/CCA) behave, clamped at zero."""
@@ -150,6 +152,14 @@ def relative_decrease(f_old: float, f_new: float) -> float:
     if f_old == 0.0:
         return max(drop, 0.0)
     return max(drop / abs(f_old), 0.0)
+
+
+def sufficient_decrease(problem, theta, x_old, f_old, x_new, f_new) -> bool:
+    """Accept test of a step: f_new plus the proximal term
+    theta ||x_new - x_old||^2 / x_new'C x_new must not exceed f_old."""
+    den_new = float(x_new @ problem.C @ x_new)
+    prox = theta * float((x_new - x_old) @ (x_new - x_old)) / den_new
+    return f_new + prox <= f_old + 1e-12 * (1.0 + abs(f_old))
 
 
 def _select_working_set(problem, x, config: DecompositionConfig, rng) -> WorkingSetSelection:
@@ -170,7 +180,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
 
-    x = random_initial_point(problem, rng) if config.random_init else initial_point(problem)
+    x = initial_point(problem)
     f = objective(problem, x)
     trace = SolveTrace()
     trace.objectives.append(f)
@@ -194,24 +204,14 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
             f_new, x_new = f, x  # reject a collapse to the zero vector
         else:
             f_new = objective(problem, x_new)
-            # Accept only steps with sufficient decrease relative to the
-            # proximal term.  The exact subsolver satisfies this by
+            # The exact subsolver satisfies sufficient decrease by
             # construction; coordinate descent may return an improving but
             # insufficient point, which would break the per-step decrease
             # guarantee the certificates rely on.
-            den_new = float(x_new @ problem.C @ x_new)
-            prox = config.theta * float((x_new - x) @ (x_new - x)) / den_new
-            if f_new + prox > f + 1e-12 * (1.0 + abs(f)):
+            if not sufficient_decrease(problem, config.theta, x, f, x_new, f_new):
                 f_new, x_new = f, x
-        r_t = relative_decrease(f, f_new)
-        step = float(np.linalg.norm(x_new - x))
+        trace.record(x, x_new, f, f_new, denominator(x_new), start, B)
         x, f = x_new, f_new
-        trace.objectives.append(f)
-        trace.rel_decreases.append(r_t)
-        trace.working_sets.append(np.asarray(B))
-        trace.denominators.append(denominator(x))
-        trace.step_norms.append(step)
-        trace.seconds.append(time.perf_counter() - start)
         window = trace.rel_decreases[-min(t + 1, config.window):]
         if sum(window) / len(window) <= config.epsilon:
             reason = "tolerance"
@@ -240,50 +240,44 @@ def _polish(problem, config, x, f, trace, start, denominator):
     """
     tol = 1e-9 * (1.0 + abs(f))
 
-    def sufficient(x_old, f_old, x_new, f_new):
-        den_new = float(x_new @ problem.C @ x_new)
-        prox = config.theta * float((x_new - x_old) @ (x_new - x_old)) / den_new
-        return f_new + prox <= f_old + 1e-12 * (1.0 + abs(f_old))
+    def try_block(B):
+        """Solve block B exactly; the improved (x, f), or None."""
+        sub = build_block_subproblem(problem, x, B, config.theta)
+        z, _ = solve_exact(sub, method=config.subsolver)
+        x_new = x.copy()
+        x_new[B] = z
+        if not np.any(x_new):
+            return None
+        f_new = objective(problem, x_new)
+        if f_new < f - tol and sufficient_decrease(problem, config.theta, x, f, x_new, f_new):
+            trace.record(x, x_new, f, f_new, denominator(x_new), start, B)
+            return x_new, f_new
+        return None
 
     for _ in range(50):
         moved = False
         for i in sorted(np.flatnonzero(x != 0.0)):
-            sub = build_block_subproblem(problem, x, np.array([i]), config.theta)
-            z, _ = solve_exact(sub, method=config.subsolver)
-            x_new = x.copy()
-            x_new[i] = z[0]
-            if not np.any(x_new):
-                continue
-            f_new = objective(problem, x_new)
-            if f_new < f - tol and sufficient(x, f, x_new, f_new):
-                _record_step(trace, problem, x, x_new, f, f_new, np.array([i]), start, denominator)
-                x, f, moved = x_new, f_new, True
+            step = try_block(np.array([i]))
+            if step is not None:
+                x, f = step
+                moved = True
+        # Swap pairs in the order (support, zero) as they stood at the start
+        # of the sweep; products and scores go stale only on an accepted move.
         S, Z = support_and_zero(x)
+        Ax, Cx = problem.A @ x, problem.C @ x
         for i in S:
-            for j in Z:
-                d = swap_descent(problem, x, int(i), int(j), literal=config.swap_literal)
-                if d < -tol:
-                    B = np.array(sorted((int(i), int(j))))
-                    sub = build_block_subproblem(problem, x, B, config.theta)
-                    z, _ = solve_exact(sub, method=config.subsolver)
-                    x_new = x.copy()
-                    x_new[B] = z
-                    f_new = objective(problem, x_new)
-                    if f_new < f - tol and sufficient(x, f, x_new, f_new):
-                        _record_step(trace, problem, x, x_new, f, f_new, B, start, denominator)
-                        x, f, moved = x_new, f_new, True
+            row = swap_row(problem, x, Ax, Cx, f, i, Z)
+            for col, j in enumerate(Z):
+                if row[col] < -tol:
+                    step = try_block(np.array(sorted((int(i), int(j)))))
+                    if step is not None:
+                        x, f = step
+                        moved = True
+                        Ax, Cx = problem.A @ x, problem.C @ x
+                        row = swap_row(problem, x, Ax, Cx, f, i, Z)
         if not moved:
             break
     return x, f
-
-
-def _record_step(trace, problem, x_old, x_new, f_old, f_new, B, start, denominator):
-    trace.objectives.append(f_new)
-    trace.rel_decreases.append(relative_decrease(f_old, f_new))
-    trace.working_sets.append(B)
-    trace.denominators.append(denominator(x_new))
-    trace.step_norms.append(float(np.linalg.norm(x_new - x_old)))
-    trace.seconds.append(time.perf_counter() - start)
 
 
 def refine_block_k(
@@ -375,8 +369,5 @@ def certify_block2_stationary(
         )
         if solve_1d(coeffs).value < f_x - tol:
             return False
-    for i in S:
-        for j in Z:
-            if swap_descent(problem, x, int(i), int(j)) < -tol:
-                return False
-    return True
+    _, _, D = descent_matrix(problem, x)
+    return not np.any(D < -tol)

@@ -15,7 +15,7 @@ and the global minimizer over [lower, inf) is the better of the two
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateDenominator, UnboundedBelow
 
@@ -60,7 +60,6 @@ class OneDimCoefficients:
 class OneDimSolution:
     beta: float
     value: float
-    candidates: list[float] = field(default_factory=list)
 
 
 def psi_value(c: OneDimCoefficients, beta: float) -> float:
@@ -94,27 +93,18 @@ def stationary_candidates(c: OneDimCoefficients) -> list[float]:
 def solve_1d(c: OneDimCoefficients) -> OneDimSolution:
     """Globally minimize psi over [lower, inf)."""
     c.validate()
-    raw = stationary_candidates(c)
-    candidates = sorted({max(c.lower, beta) for beta in raw})
-    best_beta = None
-    best_value = math.inf
-    for beta in candidates:
-        value = psi_value(c, beta)
-        if value < best_value - _TIE_TOL or (
-            abs(value - best_value) <= _TIE_TOL and (best_beta is None or beta < best_beta)
-        ):
-            best_beta, best_value = beta, value
-    assert best_beta is not None
-    return OneDimSolution(beta=best_beta, value=best_value, candidates=candidates)
+    beta, value = solve_1d_core(c.a, c.b, c.c, c.r, c.s, c.t, c.lower)
+    return OneDimSolution(beta=beta, value=value)
 
 
 def solve_1d_core(
     a: float, b: float, c: float, r: float, s: float, t: float, lower: float = -math.inf
 ) -> tuple[float, float]:
-    """Allocation-light variant of solve_1d for inner loops.
+    """The 1-D minimizer behind solve_1d, for inner loops.
 
-    Returns (beta, value).  Same candidate logic, no dataclasses, no
-    validation.  Raises UnboundedBelow on a negative discriminant.
+    Returns (beta, value): the better of the clamped stationary points,
+    ties to the smaller beta.  No dataclasses, no validation.  Raises
+    UnboundedBelow on a negative discriminant.
     """
     pi = a * s - b * r
     theta = a * t - c * r
@@ -124,7 +114,7 @@ def solve_1d_core(
     else:
         disc = theta * theta - 2.0 * pi * iota
         if disc < 0.0:
-            raise UnboundedBelow
+            raise UnboundedBelow("no real stationary point; infimum approached at infinity")
         sq = math.sqrt(disc)
         roots = ((-theta - sq) / pi, (-theta + sq) / pi)
     best_beta = 0.0

@@ -4,13 +4,14 @@ The swapping strategy scores every (support i, zero j) pair by the exact
 objective descent achievable when i leaves the support and j enters with
 its optimal coefficient, then greedily takes the best nonoverlapping
 pairs.  Scores for a whole row (fixed i, all j) are computed vectorized
-from rank-one corrections of the precomputed products A@x and C@x.
+from rank-one corrections of the precomputed products A@x and C@x
+(swap_row); selection, polish and the block-2 certificate all score swaps
+this way.  swap_descent is the explicit per-pair reference.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,6 @@ class WorkingSetSelection:
     provenance: list[Provenance]
 
 
-@dataclass
-class SwapDescentEntry:
-    i: int
-    j: int
-    descent: float
-
-
 def support_and_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x)
     return np.flatnonzero(x != 0.0), np.flatnonzero(x == 0.0)
@@ -51,45 +45,28 @@ def select_random(n: int, k: int, rng: np.random.Generator) -> WorkingSetSelecti
     return WorkingSetSelection(indices=idx, provenance=[Provenance.RANDOM] * k)
 
 
-def _swap_coefficients(problem, x, i: int, j: int, literal: bool):
-    """1-D coefficients for the objective along the entering coordinate.
+def swap_descent(problem, x, i: int, j: int) -> float:
+    """Best objective change for the swap (i out, j in); <= 0 means improvement.
 
-    Default reading: v = x - x_i e_i (coordinate i leaves the support) and
-    the line search runs along e_j.  With literal=True the formula is taken
-    verbatim: v = x - x_j e_j (a no-op since x_j = 0) and the line search
-    runs along e_i.
+    Explicit O(n^2) formula: builds v = x - x_i e_i and line-searches along
+    e_j.  Reference for swap_row / descent_matrix, not used by the solver.
     """
-    A, C = problem.A, problem.C
-    if literal:
-        v = x.copy()
-        v[j] = 0.0
-        enter = i
-    else:
-        v = x.copy()
-        v[i] = 0.0
-        enter = j
-    Av = A @ v
-    Cv = C @ v
-    return OneDimCoefficients(
-        a=float(A[enter, enter]),
-        b=float(Av[enter]),
-        c=0.5 * float(v @ Av),
-        r=float(C[enter, enter]),
-        s=float(Cv[enter]),
-        t=0.5 * float(v @ Cv),
-    ), v, enter
-
-
-def swap_descent(problem, x, i: int, j: int, literal: bool = False) -> float:
-    """Best objective change for the swap (i out, j in); <= 0 means improvement."""
     from .decomposition import objective
 
+    A, C = problem.A, problem.C
     x = np.asarray(x, dtype=float)
     f_x = objective(problem, x)
-    coeffs, v, enter = _swap_coefficients(problem, x, i, j, literal)
+    v = x.copy()
+    v[i] = 0.0
     if not np.any(v):
         # i was the only support coordinate; the swap lands on a pure axis.
-        return float(problem.A[enter, enter] / problem.C[enter, enter]) - f_x
+        return float(A[j, j] / C[j, j]) - f_x
+    Av = A @ v
+    Cv = C @ v
+    coeffs = OneDimCoefficients(
+        a=float(A[j, j]), b=float(Av[j]), c=0.5 * float(v @ Av),
+        r=float(C[j, j]), s=float(Cv[j]), t=0.5 * float(v @ Cv),
+    )
     try:
         best = solve_1d(coeffs).value
     except UnboundedBelow:
@@ -98,40 +75,45 @@ def swap_descent(problem, x, i: int, j: int, literal: bool = False) -> float:
     return best - f_x
 
 
+def swap_row(problem, x, Ax, Cx, f_x: float, i: int, J) -> np.ndarray:
+    """swap_descent(i, j) for every j in J, vectorized.
+
+    v = x - x_i e_i enters only through rank-one corrections of the
+    products Ax = A@x and Cx = C@x, so a row costs O(n) instead of O(n^2)
+    per pair.
+    """
+    A, C = problem.A, problem.C
+    xi = x[i]
+    a = np.diag(A)[J]
+    b = Ax[J] - xi * A[J, i]
+    c = 0.5 * (float(x @ Ax) - 2.0 * xi * Ax[i] + xi * xi * A[i, i])
+    r = np.diag(C)[J]
+    s = Cx[J] - xi * C[J, i]
+    t = 0.5 * (float(x @ Cx) - 2.0 * xi * Cx[i] + xi * xi * C[i, i])
+    if t <= 0.0 or not (np.any(x[:i]) or np.any(x[i + 1:])):
+        # v = 0: the support was exactly {i} and the swap lands on a pure
+        # axis.  v is tested itself because t is then rounding noise of
+        # either sign when C_ii x_i^2 is inexact.
+        return a / r - f_x
+    return _solve_1d_rowwise(a, b, c, r, s, t) - f_x
+
+
 def descent_matrix(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full swap-descent matrix D over support x zero-set, vectorized.
+    """Full swap-descent matrix D over support x zero-set.
 
     Returns (support_indices, zero_indices, D) with
     D[a, b] = swap_descent(support[a], zero[b]).
     """
     from .decomposition import objective
 
-    A, C = problem.A, problem.C
     x = np.asarray(x, dtype=float)
     S, Z = support_and_zero(x)
     f_x = objective(problem, x)
-    Ax = A @ x
-    Cx = C @ x
-    xAx = float(x @ Ax)
-    xCx = float(x @ Cx)
-    dA = np.diag(A)
-    dC = np.diag(C)
-
+    Ax = problem.A @ x
+    Cx = problem.C @ x
     D = np.empty((S.size, Z.size))
     for row, i in enumerate(S):
-        xi = x[i]
-        # v = x - xi*e_i; rank-one corrections of the precomputed products.
-        a = dA[Z]
-        b = Ax[Z] - xi * A[Z, i]
-        c = 0.5 * (xAx - 2.0 * xi * Ax[i] + xi * xi * A[i, i])
-        r = dC[Z]
-        s = Cx[Z] - xi * C[Z, i]
-        t = 0.5 * (xCx - 2.0 * xi * Cx[i] + xi * xi * C[i, i])
-        if t <= 0.0:
-            # Support was exactly {i}; the swap lands on a pure axis.
-            D[row, :] = a / r - f_x
-            continue
-        D[row, :] = _solve_1d_rowwise(a, b, c, r, s, t) - f_x
+        D[row, :] = swap_row(problem, x, Ax, Cx, f_x, i, Z)
     return S, Z, D
 
 

@@ -1,9 +1,13 @@
 import dataclasses
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgevp.decomposition import (
     DecompositionConfig,
@@ -16,8 +20,10 @@ from sgevp.decomposition import (
     relative_decrease,
     solve,
 )
-from sgevp.errors import ConfigError, TooLarge, ZeroVector
+from sgevp.errors import ConfigError, SgevpError, TooLarge, ZeroVector
+from sgevp.fractional1d import OneDimCoefficients, solve_1d
 from sgevp.linalg import NotPositiveDefinite
+from sgevp.working_set import support_and_zero, swap_descent
 
 from _util import random_problem, random_spd, random_sym
 
@@ -192,6 +198,64 @@ def test_certify_rejects_random_point():
         x[rng.choice(10, size=3, replace=False)] = rng.standard_normal(3)
         rejected += not certify_block2_stationary(problem, x, tol=1e-8)
     assert rejected == 5
+
+
+@st.composite
+def certify_cases(draw):
+    """Small problem (C = I or SPD C, with or without lower_bound = 0) and
+    an s-sparse point, single-coordinate supports included."""
+    n = draw(st.integers(2, 12))
+    entries = st.floats(-4.0, 4.0, allow_nan=False)
+    M = draw(arrays(float, (n, n), elements=entries))
+    if draw(st.booleans()):
+        C = np.eye(n)
+    else:
+        G = draw(arrays(float, (n, n), elements=entries))
+        C = G @ G.T / n + 0.5 * np.eye(n)
+    lower_bound = draw(st.sampled_from([None, 0.0]))
+    s = draw(st.integers(1, n))
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=s, unique=True))
+    magnitudes = draw(st.lists(st.floats(0.1, 3.0), min_size=len(support), max_size=len(support)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(support), max_size=len(support)))
+    x = np.zeros(n)
+    x[support] = magnitudes if lower_bound is not None else np.multiply(magnitudes, signs)
+    return ProblemInstance(A=0.5 * (M + M.T), C=C, s=s, lower_bound=lower_bound), x
+
+
+def certify_by_pairs(problem, x, tol):
+    """certify_block2_stationary spelled out: solve_1d on every support
+    coordinate, then the scalar swap_descent oracle on every pair."""
+    f_x = objective(problem, x)
+    Ax, Cx = problem.A @ x, problem.C @ x
+    S, Z = support_and_zero(x)
+    for i in S:
+        lower = -math.inf if problem.lower_bound is None else problem.lower_bound - float(x[i])
+        coeffs = OneDimCoefficients(
+            a=float(problem.A[i, i]), b=float(Ax[i]), c=0.5 * float(x @ Ax),
+            r=float(problem.C[i, i]), s=float(Cx[i]), t=0.5 * float(x @ Cx), lower=lower,
+        )
+        if solve_1d(coeffs).value < f_x - tol:
+            return False
+    scores = [swap_descent(problem, x, int(i), int(j)) for i in S for j in Z]
+    # Scalar and vectorized scores round differently; a score within that
+    # rounding of the threshold has no well-defined verdict.
+    assume(all(abs(d + tol) > 1e-9 * (1.0 + abs(f_x)) for d in scores))
+    return not any(d < -tol for d in scores)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SgevpError as error:
+        return type(error)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(certify_cases(), st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_certify_matches_explicit_pair_loop(case, tol):
+    problem, x = case
+    expected = outcome(certify_by_pairs, problem, x, tol)
+    assert outcome(certify_block2_stationary, problem, x, tol) == expected
 
 
 def test_block_k_measure_vanishes_at_refined_point():

@@ -3,10 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from sgevp.decomposition import ProblemInstance
 from sgevp.errors import (
     DegenerateData,
     DimensionMismatch,
     EmptyFile,
+    NonFinite,
     ParseError,
     SingleClass,
 )
@@ -27,6 +29,15 @@ def test_dataset_validation():
         Dataset(X=np.array([[1.0, np.nan]]))
     with pytest.raises(DegenerateData):
         Dataset(X=np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("matrix", ["A", "C"])
+def test_problem_instance_rejects_non_finite(matrix, bad):
+    mats = {"A": -np.eye(3), "C": np.eye(3)}
+    mats[matrix][0, 2] = bad
+    with pytest.raises(NonFinite):
+        ProblemInstance(A=mats["A"], C=mats["C"], s=2)
 
 
 def test_pca_hand_covariance():

@@ -117,6 +117,19 @@ def test_descent_matrix_singleton_support():
         assert D[0, b] == pytest.approx(expected, abs=1e-10)
 
 
+def test_descent_matrix_singleton_support_inexact_scale():
+    # C_00 * 0.1^2 rounds differently along the two ways the rank-one
+    # update computes it, so t is noise; the swap must still score A_11/C_11 - f.
+    from sgevp.decomposition import ProblemInstance
+
+    C = np.array([[1.265625, 0.765625], [0.765625, 1.265625]])
+    problem = ProblemInstance(A=np.ones((2, 2)), C=C, s=1)
+    x = np.array([-0.1, 0.0])
+    _, _, D = descent_matrix(problem, x)
+    assert D[0, 0] == pytest.approx(swap_descent(problem, x, 0, 1), abs=1e-12)
+    assert D[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
 def greedy_reference(S, Z, D, pairs):
     """Independent greedy oracle: repeatedly take the entry with smallest
     (descent, support index, zero index) whose row and column are unused."""

@@ -62,6 +62,12 @@ class ProblemInstance:
             raise ConfigError(f"sparsity budget {self.s} outside [1, {n}]")
         if linalg.min_eigenvalue(self.C) <= linalg.pd_tol(self.C):
             raise linalg.NotPositiveDefinite(linalg.min_eigenvalue(self.C))
+        if self.lower_bound is not None and not (
+            math.isfinite(self.lower_bound) and self.lower_bound <= 0.0
+        ):
+            # The bound applies to support entries; a positive one would be
+            # violated by every off-support zero.
+            raise ConfigError(f"lower_bound {self.lower_bound} must be finite and <= 0")
 
     @property
     def dim(self) -> int:
@@ -221,7 +227,9 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
             break
 
     if config.polish and config.swap_count >= 2:
-        x, f = _polish(problem, config, x, f, trace, start, denominator)
+        x, f, out_of_time = _polish(problem, config, x, f, trace, start, denominator)
+        if out_of_time:
+            reason = "time_limit"
     trace.x = x
     trace.reason = reason
     return trace
@@ -236,9 +244,13 @@ def _polish(problem, config, x, f, trace, start, denominator):
     certificate is enforced explicitly: cyclic exact single-coordinate
     blocks over the support, then a resweep of all swap pairs, repeated
     until neither moves.  Every move is an exact proximal block solve, so
-    the sufficient-decrease invariant is preserved.
+    the sufficient-decrease invariant is preserved.  Returns (x, f,
+    out_of_time); time_limit is checked before every block solve.
     """
     tol = 1e-9 * (1.0 + abs(f))
+
+    def out_of_time() -> bool:
+        return config.time_limit is not None and time.perf_counter() - start > config.time_limit
 
     def try_block(B):
         """Solve block B exactly; the improved (x, f), or None."""
@@ -257,6 +269,8 @@ def _polish(problem, config, x, f, trace, start, denominator):
     for _ in range(50):
         moved = False
         for i in sorted(np.flatnonzero(x != 0.0)):
+            if out_of_time():
+                return x, f, True
             step = try_block(np.array([i]))
             if step is not None:
                 x, f = step
@@ -269,6 +283,8 @@ def _polish(problem, config, x, f, trace, start, denominator):
             row = swap_row(problem, x, Ax, Cx, f, i, Z)
             for col, j in enumerate(Z):
                 if row[col] < -tol:
+                    if out_of_time():
+                        return x, f, True
                     step = try_block(np.array(sorted((int(i), int(j)))))
                     if step is not None:
                         x, f = step
@@ -277,7 +293,7 @@ def _polish(problem, config, x, f, trace, start, denominator):
                         row = swap_row(problem, x, Ax, Cx, f, i, Z)
         if not moved:
             break
-    return x, f
+    return x, f, False
 
 
 def refine_block_k(

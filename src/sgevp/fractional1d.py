@@ -123,9 +123,14 @@ def solve_1d_core(
         if beta < lower:
             beta = lower
         den = 0.5 * r * beta * beta + s * beta + t
+        num = 0.5 * a * beta * beta + b * beta + c
+        if not (math.isfinite(den) and math.isfinite(num)):
+            # A huge root (pi near 0) overflows beta^2; divide through by it.
+            den = 0.5 * r + s / beta + t / (beta * beta)
+            num = 0.5 * a + b / beta + c / (beta * beta)
         if den <= 0:
             raise DegenerateDenominator(f"denominator {den:.6g} at beta={beta:.6g}")
-        value = (0.5 * a * beta * beta + b * beta + c) / den
+        value = num / den
         if value < best_value - _TIE_TOL or (
             abs(value - best_value) <= _TIE_TOL and beta < best_beta
         ):

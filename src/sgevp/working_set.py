@@ -130,7 +130,7 @@ def _solve_1d_rowwise(a, b, c: float, r, s, t: float) -> np.ndarray:
     limit = np.where(r > 0, a / np.where(r > 0, r, 1.0), np.inf)
 
     values = np.full(a.shape, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sq = np.sqrt(np.maximum(disc, 0.0))
         quad = pi != 0.0
         for sign in (-1.0, 1.0):
@@ -140,6 +140,11 @@ def _solve_1d_rowwise(a, b, c: float, r, s, t: float) -> np.ndarray:
             beta = np.where((~quad) & (theta == 0.0), 0.0, beta)
             den = 0.5 * r * beta * beta + s * beta + t
             num = 0.5 * a * beta * beta + b * beta + c
+            # A huge root (pi near 0) overflows beta^2; divide through by it.
+            far = ~(np.isfinite(den) & np.isfinite(num))
+            if np.any(far):
+                den = np.where(far, 0.5 * r + s / beta + t / (beta * beta), den)
+                num = np.where(far, 0.5 * a + b / beta + c / (beta * beta), num)
             cand = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
             values = np.minimum(values, cand)
     values = np.where(disc < 0.0, limit, values)

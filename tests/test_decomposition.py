@@ -23,6 +23,7 @@ from sgevp.decomposition import (
 from sgevp.errors import ConfigError, SgevpError, TooLarge, ZeroVector
 from sgevp.fractional1d import OneDimCoefficients, solve_1d
 from sgevp.linalg import NotPositiveDefinite
+from sgevp.problems import build_pca, gen_randn
 from sgevp.working_set import support_and_zero, swap_descent
 
 from _util import random_problem, random_spd, random_sym
@@ -291,6 +292,15 @@ def test_refine_block_k_never_increases():
         x, f = refine_block_k(problem, trace.x, k=3)
         assert f <= trace.final_objective + 1e-12
         assert np.count_nonzero(x) <= problem.s
+
+
+def test_polish_honours_time_limit():
+    # With time_limit = 0 the main loop stops after one step; polish used to
+    # run on regardless (71 more steps on this instance).
+    problem = dataclasses.replace(build_pca(gen_randn(300, 100, 7)), s=8)
+    trace = solve(problem, DecompositionConfig(time_limit=0.0))
+    assert trace.reason == "time_limit"
+    assert trace.iterations == 1
 
 
 def test_lower_bound_respected():

@@ -206,3 +206,13 @@ def test_validate_denominator_checks():
         OneDimCoefficients(a=1, b=0, c=0, r=-1.0, s=0, t=1).validate()
     with pytest.raises(DegenerateDenominator):
         OneDimCoefficients(a=1, b=0, c=0, r=1.0, s=0, t=-1, lower=0.0).validate()
+
+
+def test_huge_stationary_root_is_not_dropped():
+    # pi = 1e-170 puts the better root at beta = 2e170, where beta^2
+    # overflows; psi there is the a/r = 1 limit, below psi(0) = 2.
+    beta, value = solve_1d_core(1.0, 1e-170, 2.0, 1.0, 2e-170, 1.0)
+    assert beta == pytest.approx(2e170)
+    assert value == pytest.approx(1.0, rel=1e-15)
+    sol = solve_1d(OneDimCoefficients(a=1.0, b=1e-170, c=2.0, r=1.0, s=2e-170, t=1.0))
+    assert (sol.beta, sol.value) == (beta, value)

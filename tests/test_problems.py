@@ -5,6 +5,7 @@ import pytest
 
 from sgevp.decomposition import ProblemInstance
 from sgevp.errors import (
+    ConfigError,
     DegenerateData,
     DimensionMismatch,
     EmptyFile,
@@ -38,6 +39,16 @@ def test_problem_instance_rejects_non_finite(matrix, bad):
     mats[matrix][0, 2] = bad
     with pytest.raises(NonFinite):
         ProblemInstance(A=mats["A"], C=mats["C"], s=2)
+
+
+@pytest.mark.parametrize("bound", [0.5, 1e-300, np.inf, -np.inf, np.nan])
+def test_problem_instance_rejects_positive_or_non_finite_lower_bound(bound):
+    # The bound applies to support entries; off-support zeros would violate
+    # a positive one.
+    with pytest.raises(ConfigError):
+        ProblemInstance(A=-np.eye(3), C=np.eye(3), s=2, lower_bound=bound)
+    for ok in (None, 0.0, -2.0):
+        ProblemInstance(A=-np.eye(3), C=np.eye(3), s=2, lower_bound=ok)
 
 
 def test_pca_hand_covariance():

@@ -1,12 +1,25 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sgevp.decomposition import ProblemInstance
+from sgevp.errors import SgevpError
 from sgevp.qfp import QfpSubproblem, solve_bisection, solve_coordinate_descent
-from sgevp.subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
+from sgevp.subproblem import (
+    MAX_BLOCK_SIZE,
+    RANK_BAND,
+    _pencil_keys,
+    _ranked_bisection,
+    build_block_subproblem,
+    solve_exact,
+)
 
-from _util import random_problem
+from _util import random_problem, random_spd
 
 
 def brute_force(sub, rng, restarts=5):
@@ -170,3 +183,120 @@ def test_block_size_cap():
     sub = build_block_subproblem(problem, x, np.arange(MAX_BLOCK_SIZE + 1), 0.0)
     with pytest.raises(ValueError):
         solve_exact(sub)
+
+
+def restrict(qfp, support):
+    idx = np.asarray(support, dtype=int)
+    return QfpSubproblem(
+        Q=qfp.Q[np.ix_(idx, idx)], p=qfp.p[idx], w=qfp.w,
+        R=qfp.R[np.ix_(idx, idx)], c=qfp.c[idx], v=qfp.v,
+    )
+
+
+def exact_by_loop(sub):
+    """solve_exact's bisection route spelled out: solve_bisection on every
+    size-q support, the first strictly smallest value wins.  Returns z, the
+    value, the winning support and every support's value."""
+    qfp = sub.qfp
+    q = min(sub.budget, qfp.dim)
+    best_value, best_support, best_y = np.inf, None, None
+    values = []
+    for support in combinations(range(qfp.dim), q):
+        sol = solve_bisection(restrict(qfp, support))
+        values.append(sol.value)
+        if sol.value < best_value:
+            best_value, best_support, best_y = sol.value, support, sol.y
+    z = np.zeros(qfp.dim)
+    z[list(best_support)] = best_y
+    return z, best_value, best_support, np.array(values)
+
+
+@st.composite
+def block_cases(draw):
+    """A block of the first k <= 10 coordinates of a small problem, with
+    budget q >= 1.
+
+    Zero entries in A make exact ties and hard cases (g orthogonal to the
+    bottom eigenvector); a point with no entries outside the block has
+    x_N = 0, so gamma = 0; C is the identity or a random SPD matrix."""
+    k = draw(st.integers(1, 10))
+    n = k + draw(st.integers(0, 4))
+    entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+    M = draw(arrays(float, (n, n), elements=entries))
+    if draw(st.booleans()):
+        C = np.eye(n)
+    else:
+        G = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+        C = G @ G.T / n + 0.5 * np.eye(n)
+    q = draw(st.integers(1, k))
+    outside = draw(st.lists(st.integers(k, n - 1), unique=True)) if n > k else []
+    inside = draw(st.lists(st.integers(0, k - 1), min_size=0 if outside else 1, max_size=q, unique=True))
+    support = outside + inside
+    x = np.zeros(n)
+    x[support] = draw(arrays(float, len(support), elements=st.sampled_from([-2.0, -0.5, 1.0, 1.5])))
+    theta = draw(st.sampled_from([0.0, 1e-5]))
+    problem = ProblemInstance(A=0.5 * (M + M.T), C=C, s=len(outside) + q)
+    return build_block_subproblem(problem, x, np.arange(k), theta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_cases())
+def test_ranked_enumeration_matches_bisection_loop(sub):
+    try:
+        expected = exact_by_loop(sub)
+    except SgevpError as error:
+        with pytest.raises(type(error)):
+            solve_exact(sub)
+        return
+    z, value = solve_exact(sub)
+    assert z.tobytes() == expected[0].tobytes()
+    assert value == expected[1]
+    q = min(sub.budget, sub.qfp.dim)
+    support, _ = _ranked_bisection(sub.qfp, q)
+    assert tuple(support) == expected[2]
+    # A key that ranks a support never exceeds the support's bisection
+    # value by more than the band: the ranking relies on that.
+    keys = _pencil_keys(sub.qfp, np.array(list(combinations(range(sub.qfp.dim), q))))
+    values = expected[3]
+    ranked = np.isfinite(keys)
+    assert np.all((keys - values)[ranked] <= RANK_BAND * (1.0 + np.abs(values[ranked])))
+
+
+def test_ranking_when_bisection_escape_stops_short_of_the_infimum():
+    # x_N = 0 and x at scale 1e8: support {1} is a hard case whose infimum
+    # A_11 + theta is approached at infinity, and bisection's escape stops
+    # 1e-5 above it, behind support {0}.  The smallest key is {1}'s; the
+    # loop's winner is {0}.
+    problem = ProblemInstance(A=np.diag([-0.999985, -1.0]), C=np.eye(2), s=1)
+    sub = build_block_subproblem(problem, np.array([1e8, 0.0]), np.arange(2), 1e-5)
+    keys = _pencil_keys(sub.qfp, np.array([[0], [1]]))
+    z, value, support, values = exact_by_loop(sub)
+    assert keys[1] < keys[0] and values[1] - keys[1] > 1e-6
+    assert support == (0,)
+    assert solve_exact(sub)[0].tobytes() == z.tobytes()
+
+
+def test_ranked_enumeration_at_block_size_cap():
+    # k = 20, q = 10: 184,756 supports, ranked in chunks; stacked at once
+    # they would take over 1 GB.
+    rng = np.random.default_rng(51)
+    n = MAX_BLOCK_SIZE + 2
+    G = rng.standard_normal((n, n))
+    problem = ProblemInstance(A=-(G @ G.T) / n, C=random_spd(rng, n), s=12)
+    x = np.zeros(n)
+    x[[0, 3, n - 2, n - 1]] = rng.standard_normal(4)
+    sub = build_block_subproblem(problem, x, np.arange(MAX_BLOCK_SIZE), 1e-5)
+    assert sub.budget == 10
+    tracemalloc.start()
+    try:
+        z, value = solve_exact(sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    support = np.flatnonzero(z)
+    assert support.size == 10
+    assert value == solve_bisection(restrict(sub.qfp, support)).value
+    for _ in range(50):
+        other = np.sort(rng.choice(MAX_BLOCK_SIZE, size=10, replace=False))
+        assert value <= solve_bisection(restrict(sub.qfp, other)).value

@@ -13,6 +13,7 @@ from sgevp.working_set import (
     select_swapping,
     support_and_zero,
     swap_descent,
+    _solve_1d_rowwise,
 )
 
 from _util import random_problem
@@ -128,6 +129,15 @@ def test_descent_matrix_singleton_support_inexact_scale():
     _, _, D = descent_matrix(problem, x)
     assert D[0, 0] == pytest.approx(swap_descent(problem, x, 0, 1), abs=1e-12)
     assert D[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_rowwise_huge_stationary_root_is_not_dropped():
+    # Same row as the scalar solve_1d_core case: the root at beta = 2e170
+    # overflows beta^2, and the row must still read the a/r = 1 limit.
+    row = _solve_1d_rowwise(
+        np.array([1.0]), np.array([1e-170]), 2.0, np.array([1.0]), np.array([2e-170]), 1.0,
+    )
+    assert row[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def greedy_reference(S, Z, D, pairs):

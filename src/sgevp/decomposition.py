@@ -16,15 +16,9 @@ from math import comb
 
 import numpy as np
 
-from . import linalg
-from .errors import (
-    ConfigError,
-    DenominatorCollapse,
-    NonFinite,
-    TooLarge,
-    ZeroVector,
-)
+from .errors import ConfigError, DenominatorCollapse, TooLarge
 from .fractional1d import OneDimCoefficients, solve_1d
+from .problems import ProblemInstance, objective
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
 from .working_set import (
     WorkingSetSelection,
@@ -41,40 +35,6 @@ MEASURE_GUARD = 10**6
 
 
 @dataclass
-class ProblemInstance:
-    """Symmetric pair (A, C) with C positive definite and a sparsity budget."""
-
-    A: np.ndarray
-    C: np.ndarray
-    s: int
-    lower_bound: float | None = None
-
-    def __post_init__(self):
-        self.A = linalg.symmetrize(self.A)
-        self.C = linalg.symmetrize(self.C)
-        self.s = int(self.s)
-        if self.A.shape != self.C.shape:
-            raise ConfigError("A and C must have the same shape")
-        if not np.all(np.isfinite(self.A)):
-            raise NonFinite("A contains NaN or Inf")
-        n = self.A.shape[0]
-        if not 1 <= self.s <= n:
-            raise ConfigError(f"sparsity budget {self.s} outside [1, {n}]")
-        if linalg.min_eigenvalue(self.C) <= linalg.pd_tol(self.C):
-            raise linalg.NotPositiveDefinite(linalg.min_eigenvalue(self.C))
-        if self.lower_bound is not None and not (
-            math.isfinite(self.lower_bound) and self.lower_bound <= 0.0
-        ):
-            # The bound applies to support entries; a positive one would be
-            # violated by every off-support zero.
-            raise ConfigError(f"lower_bound {self.lower_bound} must be finite and <= 0")
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass
 class DecompositionConfig:
     k: int = 12
     theta: float = 1e-5
@@ -86,7 +46,6 @@ class DecompositionConfig:
     max_iters: int = 1000
     seed: int = 0
     time_limit: float | None = None
-    polish: bool = True
 
     def validate(self, problem: ProblemInstance) -> None:
         if self.k > min(problem.dim, MAX_BLOCK_SIZE):
@@ -136,13 +95,6 @@ class SolveTrace:
         return self.objectives[-1]
 
 
-def objective(problem: ProblemInstance, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ZeroVector("objective undefined at x = 0")
-    return float(x @ problem.A @ x) / float(x @ problem.C @ x)
-
-
 def initial_point(problem: ProblemInstance) -> np.ndarray:
     """Unit vector on the coordinate with the smallest diagonal ratio."""
     ratios = np.diag(problem.A) / np.diag(problem.C)
@@ -166,6 +118,17 @@ def sufficient_decrease(problem, theta, x_old, f_old, x_new, f_new) -> bool:
     den_new = float(x_new @ problem.C @ x_new)
     prox = theta * float((x_new - x_old) @ (x_new - x_old)) / den_new
     return f_new + prox <= f_old + 1e-12 * (1.0 + abs(f_old))
+
+
+def _block_move(problem, x, B, theta, method="bisection"):
+    """x with block B replaced by its exact proximal block solution, and
+    its objective; None where the move collapses x to the zero vector."""
+    z, _ = solve_exact(build_block_subproblem(problem, x, B, theta), method=method)
+    x_new = x.copy()
+    x_new[B] = z
+    if not np.any(x_new):
+        return None
+    return x_new, objective(problem, x_new)
 
 
 def _select_working_set(problem, x, config: DecompositionConfig, rng) -> WorkingSetSelection:
@@ -202,20 +165,14 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
     for t in range(config.max_iters):
         selection = _select_working_set(problem, x, config, rng)
         B = selection.indices
-        sub = build_block_subproblem(problem, x, B, config.theta)
-        z, _ = solve_exact(sub, method=config.subsolver)
-        x_new = x.copy()
-        x_new[B] = z
-        if not np.any(x_new):
-            f_new, x_new = f, x  # reject a collapse to the zero vector
-        else:
-            f_new = objective(problem, x_new)
-            # The exact subsolver satisfies sufficient decrease by
-            # construction; coordinate descent may return an improving but
-            # insufficient point, which would break the per-step decrease
-            # guarantee the certificates rely on.
-            if not sufficient_decrease(problem, config.theta, x, f, x_new, f_new):
-                f_new, x_new = f, x
+        # A collapse to the zero vector is rejected.  The exact subsolver
+        # satisfies sufficient decrease by construction; coordinate descent
+        # may return an improving but insufficient point, which would break
+        # the per-step decrease guarantee the certificates rely on.
+        step = _block_move(problem, x, B, config.theta, config.subsolver)
+        x_new, f_new = x, f
+        if step is not None and sufficient_decrease(problem, config.theta, x, f, *step):
+            x_new, f_new = step
         trace.record(x, x_new, f, f_new, denominator(x_new), start, B)
         x, f = x_new, f_new
         window = trace.rel_decreases[-min(t + 1, config.window):]
@@ -226,7 +183,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
             reason = "time_limit"
             break
 
-    if config.polish and config.swap_count >= 2:
+    if config.swap_count >= 2:
         x, f, out_of_time = _polish(problem, config, x, f, trace, start, denominator)
         if out_of_time:
             reason = "time_limit"
@@ -254,13 +211,10 @@ def _polish(problem, config, x, f, trace, start, denominator):
 
     def try_block(B):
         """Solve block B exactly; the improved (x, f), or None."""
-        sub = build_block_subproblem(problem, x, B, config.theta)
-        z, _ = solve_exact(sub, method=config.subsolver)
-        x_new = x.copy()
-        x_new[B] = z
-        if not np.any(x_new):
+        step = _block_move(problem, x, B, config.theta, config.subsolver)
+        if step is None:
             return None
-        f_new = objective(problem, x_new)
+        x_new, f_new = step
         if f_new < f - tol and sufficient_decrease(problem, config.theta, x, f, x_new, f_new):
             trace.record(x, x_new, f, f_new, denominator(x_new), start, B)
             return x_new, f_new
@@ -322,16 +276,10 @@ def refine_block_k(
     for _ in range(max_rounds):
         moved = False
         for block in combinations(range(n), k):
-            B = np.asarray(block, dtype=int)
-            sub = build_block_subproblem(problem, x, B, theta)
-            z, _ = solve_exact(sub)
-            x_new = x.copy()
-            x_new[B] = z
-            if not np.any(x_new):
-                continue
-            f_new = objective(problem, x_new)
-            if f_new < f - tol:
-                x, f, moved = x_new, f_new, True
+            step = _block_move(problem, x, np.asarray(block, dtype=int), theta)
+            if step is not None and step[1] < f - tol:
+                x, f = step
+                moved = True
         if not moved:
             break
     return x, f
@@ -377,7 +325,10 @@ def certify_block2_stationary(
     Ax = problem.A @ x
     Cx = problem.C @ x
     S, Z = support_and_zero(x)
-    for i in S:
+    # On a one-coordinate support every 1-D move stays on the axis, where the
+    # ratio is constant; solve_1d would evaluate it at the 0/0 of x_i + beta
+    # = 0, whose rounding reads as a spurious descent.
+    for i in S if S.size > 1 else ():
         coeffs = OneDimCoefficients(
             a=float(problem.A[i, i]), b=float(Ax[i]), c=0.5 * float(x @ Ax),
             r=float(problem.C[i, i]), s=float(Cx[i]), t=0.5 * float(x @ Cx),

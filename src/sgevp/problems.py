@@ -1,4 +1,5 @@
-"""Application builders (sparse PCA / FDA / CCA), synthetic data, loaders.
+"""Problem instances, application builders (sparse PCA / FDA / CCA),
+synthetic data and loaders.
 
 Covariances use the 1/(m-1) normalization with mean centering.  FDA and
 CCA denominators get a small trace-scaled ridge so the strict positive
@@ -8,20 +9,65 @@ definiteness requirement holds.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import ProblemInstance
+from . import linalg
 from .errors import (
+    ConfigError,
     DegenerateData,
     DimensionMismatch,
     EmptyFile,
+    NonFinite,
     ParseError,
     SingleClass,
+    ZeroVector,
 )
 
 DEFAULT_RIDGE = 1e-6
+
+
+@dataclass
+class ProblemInstance:
+    """Symmetric pair (A, C) with C positive definite and a sparsity budget."""
+
+    A: np.ndarray
+    C: np.ndarray
+    s: int
+    lower_bound: float | None = None
+
+    def __post_init__(self):
+        self.A = linalg.symmetrize(self.A)
+        self.C = linalg.symmetrize(self.C)
+        self.s = int(self.s)
+        if self.A.shape != self.C.shape:
+            raise ConfigError("A and C must have the same shape")
+        if not np.all(np.isfinite(self.A)):
+            raise NonFinite("A contains NaN or Inf")
+        n = self.A.shape[0]
+        if not 1 <= self.s <= n:
+            raise ConfigError(f"sparsity budget {self.s} outside [1, {n}]")
+        if linalg.min_eigenvalue(self.C) <= linalg.pd_tol(self.C):
+            raise linalg.NotPositiveDefinite(linalg.min_eigenvalue(self.C))
+        if self.lower_bound is not None and not (
+            math.isfinite(self.lower_bound) and self.lower_bound <= 0.0
+        ):
+            # The bound applies to support entries; a positive one would be
+            # violated by every off-support zero.
+            raise ConfigError(f"lower_bound {self.lower_bound} must be finite and <= 0")
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[0]
+
+
+def objective(problem: ProblemInstance, x: np.ndarray) -> float:
+    x = np.asarray(x, dtype=float)
+    if not np.any(x):
+        raise ZeroVector("objective undefined at x = 0")
+    return float(x @ problem.A @ x) / float(x @ problem.C @ x)
 
 
 @dataclass

@@ -5,14 +5,16 @@ with R positive definite, optionally with an elementwise lower bound on y.
 
 Two routes:
 
-* ``solve_bisection`` -- globally optimal for the unconstrained case.  After
-  the substitution u = R^{1/2}y + R^{-1/2}c the objective becomes
-  (u'Ou/2 + u'g + delta/2) / (|u|^2/2 + gamma/2) and the optimal value is
-  the unique root of the monotone parametric function J(alpha) on
-  [lambda_min(Z), lambda_min(O)).
-* ``solve_coordinate_descent`` -- cyclic/random/Gauss-Southwell exact 1-D
-  minimization; handles the lower bound, converges to a coordinate-wise
-  minimum.
+* ``solve_bisection`` -- globally optimal for the unconstrained case.  With
+  the Cholesky factor R = L L', the substitution u = L'y + L^{-1}c turns the
+  objective into (u'Ou/2 + u'g + delta/2) / (|u|^2/2 + gamma/2), and the
+  optimal value is the unique root of the monotone parametric function
+  J(alpha) on [lambda_min(Z), lambda_min(O)).
+* ``solve_coordinate_descent`` -- cyclic exact 1-D minimization; handles
+  the lower bound, converges to a coordinate-wise minimum.
+
+``assemble_reduced`` and the batched support ranking ``pencil_keys`` share
+one stacked change of variables, ``_whiten``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .fractional1d import solve_1d_core
 # reached when the fixed coordinates are all zero; genuinely negative gamma
 # is rejected.
 _GAMMA_SLACK = 1e-12
+# Z divides by sqrt(gamma); below this relative floor (and above the
+# gamma == 0 slack) its smallest eigenvalue loses too many digits to rank a
+# support, and pencil_keys leaves the support to solve_bisection.
+GAMMA_FLOOR = 1e-8
 
 
 class Certificate(enum.Enum):
@@ -44,12 +50,6 @@ class Certificate(enum.Enum):
     BOUNDARY_LOWER = "BoundaryLower"
     BOUNDARY_UPPER = "BoundaryUpper"
     COORDINATE_WISE_MIN = "CoordinateWiseMin"
-
-
-class CdOrder(enum.Enum):
-    CYCLIC = "cyclic"
-    RANDOM = "random"
-    GAUSS_SOUTHWELL = "gauss-southwell"
 
 
 @dataclass
@@ -86,19 +86,6 @@ class QfpSubproblem:
             raise DegenerateDenominator(f"denominator {den:.6g}")
         return self.numerator(y) / den
 
-    def validate(self) -> None:
-        eig_R = linalg.sym_eig(self.R)
-        if eig_R.values[0] <= linalg.pd_tol(self.R):
-            raise linalg.NotPositiveDefinite(float(eig_R.values[0]))
-        gamma = self._gamma(eig_R)
-        scale = _GAMMA_SLACK * (1.0 + abs(2.0 * self.v))
-        if gamma < -scale:
-            raise NonPositiveGamma(f"gamma = {gamma:.6g} <= 0")
-
-    def _gamma(self, eig_R: linalg.EigDecomposition) -> float:
-        half = (eig_R.vectors / np.sqrt(eig_R.values)) @ eig_R.vectors.T
-        return float(2.0 * self.v - np.sum((half @ self.c) ** 2))
-
 
 @dataclass
 class QfpSolution:
@@ -109,58 +96,114 @@ class QfpSolution:
     certificate: Certificate
 
 
+def _whiten(Q, p, w: float, R, c, v: float):
+    """Stacked change of variables u = L'y + L^{-1}c with R = L L'.
+
+    Q, R are (N, m, m) and p, c are (N, m); w and v are shared.  Returns
+    L^{-1}, O = L^{-1} Q L^{-T} (symmetrized), g = L^{-1} (p - Q R^{-1} c),
+    the border's Schur complement gamma = 2v - |L^{-1}c|^2 and
+    delta = 2w - c'R^{-1} (2p - Q R^{-1} c).
+    """
+    L_inv = np.linalg.inv(np.linalg.cholesky(R))
+    L_inv_T = L_inv.transpose(0, 2, 1)
+    p = p[:, :, None]
+    t = L_inv @ c[:, :, None]
+    Rinv_c = L_inv_T @ t
+    Q_Rinv_c = Q @ Rinv_c
+    O = L_inv @ Q @ L_inv_T
+    gamma = 2.0 * v - np.sum(t * t, axis=(1, 2))
+    delta = np.sum(Rinv_c * (Q_Rinv_c - 2.0 * p), axis=(1, 2)) + 2.0 * w
+    return L_inv, 0.5 * (O + O.transpose(0, 2, 1)), (L_inv @ (p - Q_Rinv_c))[:, :, 0], gamma, delta
+
+
+def _bordered_z(O, g, gamma, delta) -> np.ndarray:
+    """Stacked Z = [[O, g/sqrt(gamma)], [g'/sqrt(gamma), delta/gamma]], gamma > 0."""
+    m = O.shape[-1]
+    border = g / np.sqrt(gamma)[:, None]
+    Z = np.empty((len(O), m + 1, m + 1))
+    Z[:, :m, :m] = O
+    Z[:, :m, m] = Z[:, m, :m] = border
+    Z[:, m, m] = delta / gamma
+    return Z
+
+
+def _homogeneous_tol(O):
+    """With gamma == 0, |g| and |delta| at most this leave a plain
+    generalized eigenvalue problem; O is one matrix or a stack."""
+    return 1e-13 * (1.0 + np.sqrt(np.sum(O * O, axis=(-2, -1))))
+
+
+def pencil_keys(Q, p, w: float, R, c, v: float) -> np.ndarray:
+    """Smallest eigenvalue of each stacked QFP's bordered pencil
+    ([[Q, p], [p', 2w]], [[R, c], [c', 2v]]), or nan where it cannot rank.
+
+    For gamma > GAMMA_FLOOR (1 + |2v|) it is lambda_min(Z), solve_bisection's
+    lower bracket, bit for bit; for gamma == 0 (x_N = 0 in a block) it is
+    lambda_min(O - g g'/delta), the root of the secular equation.  A hard case
+    needs no special handling: its eigenvalue is the infimum that bisection's
+    boundary escape approaches.  Every other gamma, gamma == 0 with delta
+    <= 0 (unbounded) or near 0 (the homogeneous ratio), overflow and failed
+    factorizations are left to solve_bisection.
+    """
+    keys = np.full(len(Q), np.nan)
+    scale = 1.0 + abs(2.0 * v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            _, O, g, gamma, delta = _whiten(Q, p, w, R, c, v)
+            b = gamma > GAMMA_FLOOR * scale
+            keys[b] = np.linalg.eigvalsh(_bordered_z(O[b], g[b], gamma[b], delta[b]))[:, 0]
+            slack = _GAMMA_SLACK * scale
+            z = (np.abs(gamma) <= slack) & (delta > np.maximum(slack, _homogeneous_tol(O)))
+            gz = g[z][:, :, None]
+            rank_one = gz * gz.transpose(0, 2, 1) / delta[z][:, None, None]
+            keys[z] = np.linalg.eigvalsh(O[z] - rank_one)[:, 0]
+        except np.linalg.LinAlgError:
+            keys[:] = np.nan
+    return keys
+
+
 class ReducedForm(NamedTuple):
     O: np.ndarray
     g: np.ndarray
     gamma: float
     delta: float
     Z: np.ndarray | None
-    R_inv_sqrt: np.ndarray
+    L_inv: np.ndarray
 
 
 def assemble_reduced(q: QfpSubproblem) -> ReducedForm:
-    """Change of variables of Theorem-1 style: O, g, gamma, delta and Z.
-
-    Z is None in the degenerate gamma == 0 case (it would need a division
-    by sqrt(gamma)).
-    """
-    W = linalg.inv_sqrt(q.R)  # R^{-1/2}
-    O = linalg.symmetrize(W @ q.Q @ W)
-    Rinv_c = W @ (W @ q.c)
-    g = W @ q.p - W @ (q.Q @ Rinv_c)
-    gamma = float(2.0 * q.v - np.sum((W @ q.c) ** 2))
-    delta = float(Rinv_c @ (q.Q @ Rinv_c) - 2.0 * (Rinv_c @ q.p) + 2.0 * q.w)
-    scale = _GAMMA_SLACK * (1.0 + abs(2.0 * q.v))
-    if gamma < -scale:
-        raise NonPositiveGamma(f"gamma = {gamma:.6g} <= 0")
-    if gamma <= scale:
-        return ReducedForm(O=O, g=g, gamma=0.0, delta=delta, Z=None, R_inv_sqrt=W)
-    m = q.dim
-    Z = np.empty((m + 1, m + 1))
-    Z[:m, :m] = O
-    Z[:m, m] = g / math.sqrt(gamma)
-    Z[m, :m] = g / math.sqrt(gamma)
-    Z[m, m] = delta / gamma
-    return ReducedForm(O=O, g=g, gamma=gamma, delta=delta, Z=Z, R_inv_sqrt=W)
+    """_whiten on a stack of one, plus Z (None when gamma == 0, where Z
+    would need a division by sqrt(gamma))."""
+    lam_min = linalg.min_eigenvalue(q.R)
+    if lam_min <= linalg.pd_tol(q.R):
+        raise linalg.NotPositiveDefinite(lam_min)
+    L_inv, O, g, gamma, delta = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
+    slack = _GAMMA_SLACK * (1.0 + abs(2.0 * q.v))
+    if gamma[0] < -slack:
+        raise NonPositiveGamma(f"gamma = {gamma[0]:.6g} <= 0")
+    if gamma[0] <= slack:
+        gamma[0], Z = 0.0, None
+    else:
+        Z = _bordered_z(O, g, gamma, delta)[0]
+    return ReducedForm(O[0], g[0], float(gamma[0]), float(delta[0]), Z, L_inv[0])
 
 
-def j_alpha(
-    eig_O: linalg.EigDecomposition,
-    g: np.ndarray,
-    gamma: float,
-    delta: float,
-    alpha: float,
-) -> float:
-    """Parametric value J(alpha) = delta/2 - alpha*gamma/2 - sum a_i^2/(d_i-alpha)/2."""
+def _secular(d, a2, gamma: float, delta: float, alpha: float) -> float:
+    """J(alpha) = delta/2 - alpha*gamma/2 - sum a_i^2/(d_i-alpha)/2."""
+    return float(0.5 * delta - 0.5 * alpha * gamma - 0.5 * np.sum(a2 / (d - alpha)))
+
+
+def j_alpha(eig_O: linalg.EigDecomposition, g, gamma: float, delta: float, alpha: float) -> float:
+    """Parametric value J(alpha), with a = V'g from the eigendecomposition of O."""
     d = eig_O.values
     if d[0] - alpha < 0.5 * linalg.shift_guard(float(d[0])):
         raise ShiftTooClose(f"alpha {alpha:.6g} not below smallest eigenvalue {d[0]:.6g}")
     a = eig_O.vectors.T @ g
-    return float(0.5 * delta - 0.5 * alpha * gamma - 0.5 * np.sum(a * a / (d - alpha)))
+    return _secular(d, a * a, gamma, delta, alpha)
 
 
 def _recover_y(q: QfpSubproblem, red: ReducedForm, u: np.ndarray) -> np.ndarray:
-    return red.R_inv_sqrt @ (u - red.R_inv_sqrt @ q.c)
+    return red.L_inv.T @ (u - red.L_inv @ q.c)
 
 
 def default_bisection_tol(lo: float, ub: float) -> float:
@@ -174,20 +217,16 @@ def solve_bisection(q: QfpSubproblem, tol: float | None = None) -> QfpSolution:
     red = assemble_reduced(q)
     eig_O = linalg.sym_eig(red.O)
     d = eig_O.values
-    a = eig_O.vectors.T @ red.g
-    a2 = a * a
+    a2 = (eig_O.vectors.T @ red.g) ** 2
     d_min = float(d[0])
     guard = linalg.shift_guard(d_min)
     ub_alpha = d_min - guard
     zero_tol = 1e-12 * (1.0 + abs(red.delta))
-    tiny = 1e-13 * (1.0 + float(np.linalg.norm(red.O, "fro")))
 
     def J(alpha: float) -> float:
-        return float(
-            0.5 * red.delta - 0.5 * alpha * red.gamma - 0.5 * np.sum(a2 / (d - alpha))
-        )
+        return _secular(d, a2, red.gamma, red.delta, alpha)
 
-    if red.gamma == 0.0 and np.linalg.norm(red.g) <= tiny and abs(red.delta) <= tiny:
+    if red.gamma == 0.0 and max(np.linalg.norm(red.g), abs(red.delta)) <= _homogeneous_tol(red.O):
         # Fully homogeneous ratio: a plain generalized eigenvalue problem,
         # minimized by the bottom eigenvector.
         u = eig_O.vectors[:, 0]
@@ -303,14 +342,11 @@ def _cd_start(q: QfpSubproblem) -> np.ndarray:
 
 def solve_coordinate_descent(
     q: QfpSubproblem,
-    order: CdOrder | str = CdOrder.CYCLIC,
     y0: np.ndarray | None = None,
     max_sweeps: int = 200,
     obj_tol: float | None = None,
-    rng: np.random.Generator | None = None,
 ) -> QfpSolution:
-    """Exact coordinatewise minimization of L, optionally bounded below."""
-    order = CdOrder(order)
+    """Cyclic exact coordinatewise minimization of L, optionally bounded below."""
     m = q.dim
     y = _cd_start(q) if y0 is None else np.array(y0, dtype=float)
     lb = q.lower_bound
@@ -322,26 +358,13 @@ def solve_coordinate_descent(
     num = q.numerator(y)
     if obj_tol is None:
         obj_tol = 1e-12 * (1.0 + abs(num / den))
-    if order is CdOrder.RANDOM and rng is None:
-        rng = np.random.default_rng(0)
 
     Qy = q.Q @ y + q.p
     Ry = q.R @ y + q.c
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         f_before = num / den
-        if order is CdOrder.CYCLIC:
-            coords = range(m)
-        elif order is CdOrder.RANDOM:
-            coords = rng.integers(0, m, size=m)
-        else:
-            coords = [None] * m  # resolved per-step below
-        for pick in coords:
-            if pick is None:
-                pg = projected_gradient(q, y)
-                i = int(np.argmax(np.abs(pg)))  # argmax, ties -> lowest index
-            else:
-                i = int(pick)
+        for i in range(m):
             lower = -math.inf if lb is None else lb - y[i]
             try:
                 beta, val = solve_1d_core(
@@ -354,13 +377,18 @@ def solve_coordinate_descent(
                 continue
             if beta == 0.0 or val >= num / den:
                 continue
+            y_i = y[i]
             y[i] += beta
+            den_new = q.denominator(y)
+            if den_new <= 0:
+                # a candidate on the denominator's zero (y = 0 with c = 0 and
+                # v = 0) that rounding kept positive in the 1-D form
+                y[i] = y_i
+                continue
             Qy += beta * q.Q[:, i]
             Ry += beta * q.R[:, i]
             num = q.numerator(y)
-            den = q.denominator(y)
-            if den <= 0:
-                raise DegenerateDenominator(f"denominator {den:.6g}")
+            den = den_new
         if f_before - num / den < obj_tol:
             break
     return QfpSolution(

@@ -11,8 +11,8 @@ Without a lower bound, a support's global minimum is the smallest
 eigenvalue of its bordered pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]])
 (Golub, "Some modified matrix eigenvalue problems", SIAM Rev. 1973): the
 lambda_min(Z) that solve_bisection brackets.  The bisection route ranks
-every support by that eigenvalue, computed batched, and re-solves only the
-best-ranked ones with solve_bisection, which stays the reference solver.
+every support by that eigenvalue (qfp.pencil_keys, batched) and re-solves
+only the best-ranked ones with solve_bisection, the reference solver.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .qfp import _GAMMA_SLACK, QfpSubproblem, solve_bisection, solve_coordinate_descent
+from .qfp import QfpSubproblem, pencil_keys, solve_bisection, solve_coordinate_descent
 
 MAX_BLOCK_SIZE = 20
 # Supports per stacked eigenvalue call.  Bounds memory at the block-size
@@ -33,10 +33,6 @@ RANK_CHUNK = 256
 # How far (relative) rounding may lift a key above its support's bisection
 # value; re-solving stops at the first key beyond the best value plus this.
 RANK_BAND = 1e-9
-# Whitening by the bordered Cholesky factor divides by sqrt(gamma); below
-# this relative floor (and above the gamma == 0 slack) it loses too many
-# digits to rank, and the support goes to solve_bisection.
-GAMMA_FLOOR = 1e-8
 
 
 @dataclass
@@ -159,68 +155,6 @@ def _ranked_bisection(qfp: QfpSubproblem, q: int):
 
 
 def _pencil_keys(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each support's bordered pencil, or nan where
-    it cannot rank the support.
-
-    With R_S = L L' and t = L^{-1} c_S, the border's Schur complement is
-    gamma = 2v - |t|^2.  For gamma > 0 the pencil whitens to solve_bisection's
-    Z = [[O, g/sqrt(gamma)], [g'/sqrt(gamma), delta/gamma]], with
-    O = L^{-1} Q_S L^{-T} and g = L^{-1} (p_S - Q_S R_S^{-1} c_S).  For
-    gamma == 0 (x_N = 0 in the block) the infimum is lambda_min(O - g g'/delta),
-    the root of bisection's secular equation.  A hard case (border component
-    of the eigenvector near 0) needs no special handling: its eigenvalue is
-    the infimum that bisection's boundary escape reaches.
-    """
-    Q = qfp.Q[supports[:, :, None], supports[:, None, :]]
-    p = qfp.p[supports][:, :, None]
-    c = qfp.c[supports][:, :, None]
-    two_v = 2.0 * qfp.v
-    slack = _GAMMA_SLACK * (1.0 + abs(two_v))
-    keys = np.full(len(supports), np.nan)
-    # Overflow or an invalid value only makes a key non-finite, which sends
-    # its support to solve_bisection.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            L_inv = np.linalg.inv(
-                np.linalg.cholesky(qfp.R[supports[:, :, None], supports[:, None, :]])
-            )
-        except np.linalg.LinAlgError:
-            return keys
-        L_inv_T = L_inv.transpose(0, 2, 1)
-        t = L_inv @ c
-        Rinv_c = L_inv_T @ t
-        Q_Rinv_c = Q @ Rinv_c
-        gamma = two_v - np.sum(t * t, axis=(1, 2))
-        delta = np.sum(Rinv_c * (Q_Rinv_c - 2.0 * p), axis=(1, 2)) + 2.0 * qfp.w
-        O = L_inv @ Q @ L_inv_T
-        g = L_inv @ (p - Q_Rinv_c)
-
-        bordered = gamma > GAMMA_FLOOR * (1.0 + abs(two_v))
-        if np.any(bordered):
-            m = supports.shape[1]
-            root = np.sqrt(gamma[bordered])[:, None, None]
-            Z = np.empty((int(bordered.sum()), m + 1, m + 1))
-            Z[:, :m, :m] = O[bordered]
-            Z[:, :m, m:] = g[bordered] / root
-            Z[:, m:, :m] = Z[:, :m, m:].transpose(0, 2, 1)
-            Z[:, m, m] = delta[bordered] / gamma[bordered]
-            keys[bordered] = _smallest_eigenvalues(Z)
-
-        # gamma == 0 with delta <= 0 has no finite infimum, and with delta
-        # near 0 (the homogeneous ratio) bisection takes its eigenvector
-        # route; both go to solve_bisection.
-        tiny = 1e-13 * (1.0 + np.sqrt(np.sum(O * O, axis=(1, 2))))
-        zero_gamma = (np.abs(gamma) <= slack) & (delta > np.maximum(slack, tiny))
-        if np.any(zero_gamma):
-            g0 = g[zero_gamma]
-            keys[zero_gamma] = _smallest_eigenvalues(
-                O[zero_gamma] - g0 * g0.transpose(0, 2, 1) / delta[zero_gamma][:, None, None]
-            )
-    return keys
-
-
-def _smallest_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(stack)[:, 0]
-    except np.linalg.LinAlgError:
-        return np.full(len(stack), np.nan)
+    """qfp.pencil_keys of each support's principal sub-pencil."""
+    S, T = supports[:, :, None], supports[:, None, :]
+    return pencil_keys(qfp.Q[S, T], qfp.p[supports], qfp.w, qfp.R[S, T], qfp.c[supports], qfp.v)

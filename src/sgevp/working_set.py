@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InsufficientCoordinates, InvalidK, UnboundedBelow
 from .fractional1d import OneDimCoefficients, solve_1d
+from .problems import objective
 
 
 class Provenance(enum.Enum):
@@ -51,8 +52,6 @@ def swap_descent(problem, x, i: int, j: int) -> float:
     Explicit O(n^2) formula: builds v = x - x_i e_i and line-searches along
     e_j.  Reference for swap_row / descent_matrix, not used by the solver.
     """
-    from .decomposition import objective
-
     A, C = problem.A, problem.C
     x = np.asarray(x, dtype=float)
     f_x = objective(problem, x)
@@ -104,8 +103,6 @@ def descent_matrix(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (support_indices, zero_indices, D) with
     D[a, b] = swap_descent(support[a], zero[b]).
     """
-    from .decomposition import objective
-
     x = np.asarray(x, dtype=float)
     S, Z = support_and_zero(x)
     f_x = objective(problem, x)

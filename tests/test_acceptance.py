@@ -283,7 +283,7 @@ def test_criterion_06_global_recovery_tiny():
     for _ in range(50):
         problem = random_problem(rng, 8, 3)
         cfg = DecompositionConfig(k=8, random_count=8, swap_count=0,
-                                  theta=0.0, max_iters=1, polish=False, seed=0)
+                                  theta=0.0, max_iters=1, seed=0)
         trace = solve(problem, cfg)
         best = np.inf
         for support in combinations(range(8), 3):

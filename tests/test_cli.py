@@ -146,6 +146,15 @@ def test_certify_fails_for_non_stationary_point(tmp_path):
                 "--s", "3", "--trace", str(trace), "--k", "2"]) == 1
 
 
+def test_certify_zero_vector_is_a_numerical_error(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"final": {"x": [0.0] * 12}}))
+    assert run(["certify", "--data", str(data), "--labeled", "--app", "pca",
+                "--s", "3", "--trace", str(trace), "--k", "2"]) == 4
+    assert "objective undefined at x = 0" in capsys.readouterr().err
+
+
 def test_defaults_golden(capsys):
     assert run(["defaults"]) == 0
     payload = json.loads(capsys.readouterr().out)

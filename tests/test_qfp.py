@@ -47,10 +47,10 @@ def test_assemble_reduced_equivalence():
     rng = np.random.default_rng(20)
     q = random_qfp(rng, 4)
     red = assemble_reduced(q)
-    R_sqrt = np.linalg.inv(red.R_inv_sqrt)
+    L = np.linalg.inv(red.L_inv)
     for _ in range(100):
         y = rng.standard_normal(4)
-        u = R_sqrt @ y + red.R_inv_sqrt @ q.c
+        u = L.T @ y + red.L_inv @ q.c
         reduced_val = (0.5 * u @ red.O @ u + u @ red.g + 0.5 * red.delta) / (
             0.5 * u @ u + 0.5 * red.gamma
         )
@@ -63,7 +63,7 @@ def test_gamma_validation():
         Q=np.eye(2), p=np.zeros(2), w=0.0, R=np.eye(2), c=np.array([1.0, 0.0]), v=0.1
     )
     with pytest.raises(NonPositiveGamma):
-        q.validate()
+        assemble_reduced(q)
 
 
 def test_j_alpha_linear_when_g_zero():
@@ -200,13 +200,23 @@ def test_cd_m1_matches_solve_1d():
 def test_cd_orders_agree():
     rng = np.random.default_rng(29)
     q = random_qfp(rng, 5)
-    vals = [
-        solve_coordinate_descent(q, order=order, rng=np.random.default_rng(0)).value
-        for order in ("cyclic", "random", "gauss-southwell")
-    ]
-    ref = solve_bisection(q).value
-    for v in vals:
-        assert v >= ref - 1e-9
+    assert solve_coordinate_descent(q).value >= solve_bisection(q).value - 1e-9
+
+
+def test_cd_skips_a_move_onto_the_denominator_zero():
+    # c = 0 and v = 0 (x_N = 0 in a block): coordinate descent escapes to
+    # y = (0, 4.2e12), and moving y_1 to its bound 0 makes y = 0, where the
+    # denominator vanishes; rounding kept the 1-D denominator positive, and
+    # the move used to raise DegenerateDenominator.
+    a = 0.12124680664305405
+    q = QfpSubproblem(
+        Q=np.array([[1e-05, a], [a, 1e-05]]), p=np.array([-1e-05, 0.0]), w=8.527721682508973e-06,
+        R=np.diag([0.9387826004687733, 0.7404153667133727]), c=np.zeros(2), v=0.0,
+        lower_bound=0.0,
+    )
+    sol = solve_coordinate_descent(q)
+    assert np.all(sol.y >= 0.0) and q.denominator(sol.y) > 0.0
+    assert sol.value == q.value(sol.y)
 
 
 def test_cd_bound_kkt():

@@ -9,7 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from sgevp.decomposition import ProblemInstance
 from sgevp.errors import SgevpError
-from sgevp.qfp import QfpSubproblem, solve_bisection, solve_coordinate_descent
+from sgevp.qfp import (
+    GAMMA_FLOOR,
+    QfpSubproblem,
+    assemble_reduced,
+    solve_bisection,
+    solve_coordinate_descent,
+)
 from sgevp.subproblem import (
     MAX_BLOCK_SIZE,
     RANK_BAND,
@@ -260,6 +266,40 @@ def test_ranked_enumeration_matches_bisection_loop(sub):
     values = expected[3]
     ranked = np.isfinite(keys)
     assert np.all((keys - values)[ranked] <= RANK_BAND * (1.0 + np.abs(values[ranked])))
+
+
+@st.composite
+def bordered_cases(draw):
+    """(qfp, supports) of a block of the first k <= 10 coordinates with
+    x_N != 0 (gamma > 0) and a non-identity SPD C."""
+    k = draw(st.integers(1, 10))
+    n = k + draw(st.integers(1, 4))
+    M = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+    G = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+    C = G @ G.T / n + 0.5 * np.eye(n)
+    x = draw(arrays(float, n, elements=st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5])))
+    x[draw(st.integers(k, n - 1))] = 1.0
+    q = draw(st.integers(1, k))
+    problem = ProblemInstance(A=0.5 * (M + M.T), C=C, s=n)
+    sub = build_block_subproblem(problem, x, np.arange(k), draw(st.sampled_from([0.0, 1e-5])))
+    return sub.qfp, np.array(list(combinations(range(k), q)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bordered_cases())
+def test_bordered_key_is_the_bisection_bracket(case):
+    # The ranking key and solve_bisection's lower bracket lambda_min(Z) come
+    # from one change of variables, so they agree bit for bit.
+    qfp, supports = case
+    keys = _pencil_keys(qfp, supports)
+    for key, support in zip(keys, supports):
+        try:
+            red = assemble_reduced(restrict(qfp, support))
+        except SgevpError:
+            assert np.isnan(key)
+            continue
+        if red.gamma > GAMMA_FLOOR * (1.0 + abs(2.0 * qfp.v)):
+            assert key == np.linalg.eigvalsh(red.Z)[0]
 
 
 def test_ranking_when_bisection_escape_stops_short_of_the_infimum():

@@ -151,12 +151,15 @@ def pencil_keys(Q, p, w: float, R, c, v: float) -> np.ndarray:
         try:
             _, O, g, gamma, delta = _whiten(Q, p, w, R, c, v)
             b = gamma > GAMMA_FLOOR * scale
-            keys[b] = np.linalg.eigvalsh(_bordered_z(O[b], g[b], gamma[b], delta[b]))[:, 0]
+            if b.any():
+                keys[b] = np.linalg.eigvalsh(_bordered_z(O[b], g[b], gamma[b], delta[b]))[:, 0]
             slack = _GAMMA_SLACK * scale
-            z = (np.abs(gamma) <= slack) & (delta > np.maximum(slack, _homogeneous_tol(O)))
-            gz = g[z][:, :, None]
-            rank_one = gz * gz.transpose(0, 2, 1) / delta[z][:, None, None]
-            keys[z] = np.linalg.eigvalsh(O[z] - rank_one)[:, 0]
+            z = np.abs(gamma) <= slack
+            if z.any():  # x_N = 0 somewhere; most stacks have none
+                z &= delta > np.maximum(slack, _homogeneous_tol(O))
+                gz = g[z][:, :, None]
+                rank_one = gz * gz.transpose(0, 2, 1) / delta[z][:, None, None]
+                keys[z] = np.linalg.eigvalsh(O[z] - rank_one)[:, 0]
         except np.linalg.LinAlgError:
             keys[:] = np.nan
     return keys

@@ -7,12 +7,15 @@ enumerates supports of size min(q, k) (support monotonicity makes the
 smaller sizes redundant) and solves each restricted quadratic fractional
 program globally.
 
-Without a lower bound, a support's global minimum is the smallest
-eigenvalue of its bordered pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]])
-(Golub, "Some modified matrix eigenvalue problems", SIAM Rev. 1973): the
-lambda_min(Z) that solve_bisection brackets.  The bisection route ranks
-every support by that eigenvalue (qfp.pencil_keys, batched) and re-solves
-only the best-ranked ones with solve_bisection, the reference solver.
+A support's unconstrained infimum is the smallest eigenvalue of its
+bordered pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]]) (Golub, "Some
+modified matrix eigenvalue problems", SIAM Rev. 1973): the lambda_min(Z)
+that solve_bisection brackets.  It bounds every solver's value on that
+support from below, lower bound or not, so supports are ranked by it
+(qfp.pencil_keys, batched) and only those that can win are solved, by
+solve_bisection (the reference solver) or solve_coordinate_descent.  A
+support the ranking prunes is never solved, so an error its solve would
+raise does not surface.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ MAX_BLOCK_SIZE = 20
 # Supports per stacked eigenvalue call.  Bounds memory at the block-size
 # cap, where C(20, 10) = 184,756 supports stacked at once take over 1 GB.
 RANK_CHUNK = 256
-# How far (relative) rounding may lift a key above its support's bisection
-# value; re-solving stops at the first key beyond the best value plus this.
+# How far (relative) rounding may lift a key above its support's solved
+# value; solving stops at the first key beyond the best value plus this.
 RANK_BAND = 1e-9
 
 
@@ -73,6 +76,8 @@ def build_block_subproblem(problem, x, B, theta: float) -> BlockSubproblem:
 def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.ndarray, float]:
     """Globally minimize the block QFP under ||z||_0 <= budget.
 
+    Supports are solved by solve_bisection, or by solve_coordinate_descent
+    with a lower bound or method="coordinate-descent", in _ranked's order.
     Returns (z, value); entries off the winning support are exact zeros.
     Among supports of equal value the first in combination order wins.
     """
@@ -86,71 +91,60 @@ def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.nda
             raise DegenerateDenominator("empty budget with nonpositive constant denominator")
         return np.zeros(k), qfp.w / qfp.v
 
-    if method == "bisection" and qfp.lower_bound is None:
-        best_support, best = _ranked_bisection(qfp, q)
-        best_value, best_y = best.value, best.y
-    else:
-        best_value = np.inf
-        best_support = best_y = None
-        for support in combinations(range(k), q):
-            sol = solve_coordinate_descent(_restrict(qfp, support))
-            if sol.value < best_value:
-                best_value, best_support, best_y = sol.value, support, sol.y
-
-    assert best_support is not None and best_y is not None
+    bisection = method == "bisection" and qfp.lower_bound is None
+    support, best = _ranked(qfp, q, solve_bisection if bisection else solve_coordinate_descent)
     z = np.zeros(k)
-    z[list(best_support)] = best_y
-    return z, float(best_value)
+    z[support] = best.y
+    return z, float(best.value)
 
 
 def _restrict(qfp: QfpSubproblem, support) -> QfpSubproblem:
     idx = np.asarray(support, dtype=int)
     return QfpSubproblem(
-        Q=qfp.Q[np.ix_(idx, idx)],
-        p=qfp.p[idx],
-        w=qfp.w,
-        R=qfp.R[np.ix_(idx, idx)],
-        c=qfp.c[idx],
-        v=qfp.v,
-        lower_bound=qfp.lower_bound,
+        Q=qfp.Q[np.ix_(idx, idx)], p=qfp.p[idx], w=qfp.w,
+        R=qfp.R[np.ix_(idx, idx)], c=qfp.c[idx], v=qfp.v, lower_bound=qfp.lower_bound,
     )
 
 
-def _ranked_bisection(qfp: QfpSubproblem, q: int):
-    """(support, solve_bisection solution) of the best size-q support.
+def _ranked(qfp: QfpSubproblem, q: int, solve):
+    """(support, solution) of the best size-q support, solved by solve
+    (solve_bisection or solve_coordinate_descent).
 
     Every support is ranked by its pencil key; those the key cannot rank
-    are solved by bisection in combination order and ranked by that value.
-    A key is the support's infimum, so its bisection value is never below
-    it by more than rounding; it can lie above it, where bisection's
-    boundary escape stops short of an infimum approached at infinity.
-    Bisection therefore re-solves supports in key order until the next key
-    exceeds the best value found by more than RANK_BAND, and the first
-    support with the smallest bisection value wins, as in a loop over all
-    supports.  A lone support is solved directly.
+    are solved first, in combination order, and ranked by their value.  A
+    key is the support's unconstrained infimum, so no value solve returns
+    lies below it by more than rounding; a value can lie above it, where
+    bisection's boundary escape stops short of an infimum approached at
+    infinity, and wherever a lower bound or a coordinate-wise minimum stops
+    coordinate descent.  Supports are therefore solved in key order until
+    the next key exceeds the best value found by more than RANK_BAND, and
+    the first support with the smallest value wins, as in a loop over all
+    supports that skips a nan value.  A lone support is solved directly.
     """
     total = math.comb(qfp.dim, q)
     supports = np.fromiter(
         chain.from_iterable(combinations(range(qfp.dim), q)), dtype=np.intp, count=total * q,
     ).reshape(total, q)
     if total == 1:
-        return supports[0], solve_bisection(_restrict(qfp, supports[0]))
+        return supports[0], solve(_restrict(qfp, supports[0]))
     keys = np.concatenate([
         _pencil_keys(qfp, supports[start:start + RANK_CHUNK])
         for start in range(0, total, RANK_CHUNK)
     ])
     solved = {}
     for i in np.flatnonzero(~np.isfinite(keys)):
-        solved[i] = solve_bisection(_restrict(qfp, supports[i]))
+        solved[i] = solve(_restrict(qfp, supports[i]))
         keys[i] = solved[i].value
-    best_value = min((sol.value for sol in solved.values()), default=math.inf)
+    # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
+    best_value = min([math.inf, *(sol.value for sol in solved.values())])
     for i in np.argsort(keys, kind="stable"):
         if keys[i] > best_value + RANK_BAND * (1.0 + abs(best_value)):
             break
         if i not in solved:
-            solved[i] = solve_bisection(_restrict(qfp, supports[i]))
+            solved[i] = solve(_restrict(qfp, supports[i]))
             best_value = min(best_value, solved[i].value)
-    best = min(sorted(solved), key=lambda i: solved[i].value)  # first of equal values
+    # The first of equal values wins; nan ranks last.
+    best = min(sorted(solved), key=lambda i: (math.isnan(solved[i].value), solved[i].value))
     return supports[best], solved[best]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import combinations
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sgevp import subproblem
 from sgevp.decomposition import ProblemInstance
 from sgevp.errors import SgevpError
+from sgevp.problems import build_pca, gen_randn
 from sgevp.qfp import (
     GAMMA_FLOOR,
     QfpSubproblem,
@@ -19,8 +22,9 @@ from sgevp.qfp import (
 from sgevp.subproblem import (
     MAX_BLOCK_SIZE,
     RANK_BAND,
+    BlockSubproblem,
     _pencil_keys,
-    _ranked_bisection,
+    _ranked,
     build_block_subproblem,
     solve_exact,
 )
@@ -195,32 +199,41 @@ def restrict(qfp, support):
     idx = np.asarray(support, dtype=int)
     return QfpSubproblem(
         Q=qfp.Q[np.ix_(idx, idx)], p=qfp.p[idx], w=qfp.w,
-        R=qfp.R[np.ix_(idx, idx)], c=qfp.c[idx], v=qfp.v,
+        R=qfp.R[np.ix_(idx, idx)], c=qfp.c[idx], v=qfp.v, lower_bound=qfp.lower_bound,
     )
 
 
-def exact_by_loop(sub):
-    """solve_exact's bisection route spelled out: solve_bisection on every
-    size-q support, the first strictly smallest value wins.  Returns z, the
-    value, the winning support and every support's value."""
+def exact_by_loop(sub, solve=solve_bisection, tolerate=()):
+    """solve_exact spelled out: solve (solve_bisection or
+    solve_coordinate_descent) on every size-q support, the first strictly
+    smallest value wins.  Returns z, the value, the winning support, every
+    support's value (nan where its solve raised) and {support index: error}
+    for the solves that raised an error of a type in tolerate; any other
+    error propagates."""
     qfp = sub.qfp
     q = min(sub.budget, qfp.dim)
     best_value, best_support, best_y = np.inf, None, None
-    values = []
-    for support in combinations(range(qfp.dim), q):
-        sol = solve_bisection(restrict(qfp, support))
+    values, errors = [], {}
+    for i, support in enumerate(combinations(range(qfp.dim), q)):
+        try:
+            sol = solve(restrict(qfp, support))
+        except tolerate as error:
+            values.append(np.nan)
+            errors[i] = error
+            continue
         values.append(sol.value)
         if sol.value < best_value:
             best_value, best_support, best_y = sol.value, support, sol.y
     z = np.zeros(qfp.dim)
-    z[list(best_support)] = best_y
-    return z, best_value, best_support, np.array(values)
+    if best_support is not None:
+        z[list(best_support)] = best_y
+    return z, best_value, best_support, np.array(values), errors
 
 
 @st.composite
-def block_cases(draw):
+def block_cases(draw, lower_bounds=st.none()):
     """A block of the first k <= 10 coordinates of a small problem, with
-    budget q >= 1.
+    budget q >= 1 and a lower bound drawn from lower_bounds.
 
     Zero entries in A make exact ties and hard cases (g orthogonal to the
     bottom eigenvector); a point with no entries outside the block has
@@ -241,31 +254,114 @@ def block_cases(draw):
     x = np.zeros(n)
     x[support] = draw(arrays(float, len(support), elements=st.sampled_from([-2.0, -0.5, 1.0, 1.5])))
     theta = draw(st.sampled_from([0.0, 1e-5]))
-    problem = ProblemInstance(A=0.5 * (M + M.T), C=C, s=len(outside) + q)
+    problem = ProblemInstance(
+        A=0.5 * (M + M.T), C=C, s=len(outside) + q, lower_bound=draw(lower_bounds),
+    )
     return build_block_subproblem(problem, x, np.arange(k), theta)
+
+
+def check_ranked_matches_loop(sub, method, solve, strict=True):
+    """solve_exact(sub, method) equals exact_by_loop(sub, solve) bit for bit,
+    and no key that ranks a support exceeds the support's value by more than
+    the band: the ranking relies on that.
+
+    Strict: if a support's solve raises an SgevpError, solve_exact raises
+    the type of the loop's first error; any other error fails.  Otherwise a
+    support whose solve raises (pytest turns RuntimeWarning into an error)
+    may be pruned: solve_exact raises an error of a type some support
+    raised, or every such support has a key above the winner's value plus
+    the band and the result matches the loop over the others."""
+    tolerate = () if strict else (SgevpError, RuntimeWarning)
+    try:
+        z_loop, value_loop, support_loop, values, errors = exact_by_loop(sub, solve, tolerate)
+    except SgevpError as error:  # strict only
+        with pytest.raises(type(error)):
+            solve_exact(sub, method)
+        return
+    q = min(sub.budget, sub.qfp.dim)
+    keys = _pencil_keys(sub.qfp, np.array(list(combinations(range(sub.qfp.dim), q))))
+    ranked = np.isfinite(keys) & np.isfinite(values)
+    assert np.all((keys - values)[ranked] <= RANK_BAND * (1.0 + np.abs(values[ranked])))
+    try:
+        z, value = solve_exact(sub, method)
+    except tolerate as error:
+        assert type(error) in {type(e) for e in errors.values()}
+        return
+    for i in errors:
+        assert keys[i] > value + RANK_BAND * (1.0 + abs(value))
+    assert z.tobytes() == z_loop.tobytes()
+    assert value == value_loop
+    support, _ = _ranked(sub.qfp, q, solve)
+    assert tuple(support) == support_loop
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(block_cases())
 def test_ranked_enumeration_matches_bisection_loop(sub):
-    try:
-        expected = exact_by_loop(sub)
-    except SgevpError as error:
-        with pytest.raises(type(error)):
-            solve_exact(sub)
-        return
+    check_ranked_matches_loop(sub, "bisection", solve_bisection)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_cases(lower_bounds=st.sampled_from([None, 0.0, -1.0])))
+def test_ranked_enumeration_matches_coordinate_descent_loop(sub):
+    # A key is the unconstrained infimum, so it also bounds coordinate
+    # descent's value from below, with or without the lower bound.
+    check_ranked_matches_loop(sub, "coordinate-descent", solve_coordinate_descent, strict=False)
+
+
+def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
+    # A bounded block with x_N = 0 (gamma = 0), k = 8 and q = 4 as on a
+    # lower_bound = 0 PCA run: 35 of the 70 supports have keys above the
+    # winner's value and are never solved.
+    problem = dataclasses.replace(build_pca(gen_randn(150, 50, 3)), s=4, lower_bound=0.0)
+    x = np.zeros(problem.dim)
+    x[[2, 5, 11, 17]] = [0.4, 0.3, 0.2, 0.1]
+    sub = build_block_subproblem(problem, x, np.array([2, 5, 11, 17, 20, 29, 33, 41]), 1e-5)
+    assert sub.budget == 4 and sub.qfp.v == 0.0
+    calls = []
+
+    def counted(qfp):
+        calls.append(qfp)
+        return solve_coordinate_descent(qfp)
+
+    monkeypatch.setattr(subproblem, "solve_coordinate_descent", counted)
     z, value = solve_exact(sub)
-    assert z.tobytes() == expected[0].tobytes()
-    assert value == expected[1]
-    q = min(sub.budget, sub.qfp.dim)
-    support, _ = _ranked_bisection(sub.qfp, q)
-    assert tuple(support) == expected[2]
-    # A key that ranks a support never exceeds the support's bisection
-    # value by more than the band: the ranking relies on that.
-    keys = _pencil_keys(sub.qfp, np.array(list(combinations(range(sub.qfp.dim), q))))
-    values = expected[3]
-    ranked = np.isfinite(keys)
-    assert np.all((keys - values)[ranked] <= RANK_BAND * (1.0 + np.abs(values[ranked])))
+    assert len(calls) < 70
+    z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
+    assert z.tobytes() == z_loop.tobytes()
+    assert value == value_loop
+
+
+def test_ranking_band_covers_keys_rounded_above_the_value():
+    # Supports {0} and {1} differ only in the last bit of their coupling to
+    # x_2.  Their keys round to one value, an ulp above {0}'s coordinate
+    # descent value, and {1}'s value is an ulp lower still: without the
+    # band, solving {0} first would prune the winner {1}.
+    b = 0.16666666666666669  # 1/6 rounded up
+    A = np.array([[-2 / 3, 0.0, 1 / 6], [0.0, -2 / 3, b], [1 / 6, b, 0.0]])
+    problem = ProblemInstance(A=A, C=np.diag([1.0, 1.0, 2.0]), s=2)
+    sub = build_block_subproblem(problem, np.array([0.0, 0.0, -2.0]), np.arange(2), 0.0)
+    keys = _pencil_keys(sub.qfp, np.array([[0], [1]]))
+    values = exact_by_loop(sub, solve_coordinate_descent)[3]
+    assert keys[0] == keys[1] > values[0] > values[1]
+    check_ranked_matches_loop(sub, "coordinate-descent", solve_coordinate_descent)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ranking_never_picks_a_nan_value():
+    # Coordinate descent on support {0, 1} steps to y_0 ~ -5e303, overflows
+    # the denominator and returns a nan value.  All three supports share one
+    # key, so all are solved, {0, 1} first; the loop skips the nan value.
+    t = 5.6e-309
+    Q = np.array([[1e-5, t, 0.0], [t, 1e-5, 0.0], [0.0, 0.0, 1e-5]])
+    qfp = QfpSubproblem(Q=Q, p=np.zeros(3), w=2e-5, R=np.eye(3) / 2, c=np.zeros(3), v=0.0)
+    sub = BlockSubproblem(qfp=qfp, budget=2)
+    z_loop, value_loop, support_loop, values, _ = exact_by_loop(sub, solve_coordinate_descent)
+    assert np.isnan(values[0]) and np.all(np.isfinite(values[1:]))
+    support, sol = _ranked(qfp, 2, solve_coordinate_descent)
+    assert tuple(support) == support_loop and sol.value == value_loop
+    z, value = solve_exact(sub, "coordinate-descent")
+    assert z.tobytes() == z_loop.tobytes() and value == value_loop
 
 
 @st.composite
@@ -310,7 +406,7 @@ def test_ranking_when_bisection_escape_stops_short_of_the_infimum():
     problem = ProblemInstance(A=np.diag([-0.999985, -1.0]), C=np.eye(2), s=1)
     sub = build_block_subproblem(problem, np.array([1e8, 0.0]), np.arange(2), 1e-5)
     keys = _pencil_keys(sub.qfp, np.array([[0], [1]]))
-    z, value, support, values = exact_by_loop(sub)
+    z, value, support, values, _ = exact_by_loop(sub)
     assert keys[1] < keys[0] and values[1] - keys[1] > 1e-6
     assert support == (0,)
     assert solve_exact(sub)[0].tobytes() == z.tobytes()

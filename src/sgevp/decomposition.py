@@ -201,8 +201,13 @@ def _polish(problem, config, x, f, trace, start, denominator):
     certificate is enforced explicitly: cyclic exact single-coordinate
     blocks over the support, then a resweep of all swap pairs, repeated
     until neither moves.  Every move is an exact proximal block solve, so
-    the sufficient-decrease invariant is preserved.  Returns (x, f,
-    out_of_time); time_limit is checked before every block solve.
+    the sufficient-decrease invariant is preserved.  A block of one or two
+    coordinates costs O(s^2) to assemble (build_block_subproblem reads only
+    the support) and a one-coordinate block is solved in closed form.  A
+    swap pair {i, j} with x_i = x_j = 0 and ||x||_0 = s is skipped: its
+    budget is 0, so the move is the identity and would be rejected.
+    Returns (x, f, out_of_time); time_limit is checked before every block
+    solve.
     """
     tol = 1e-9 * (1.0 + abs(f))
 
@@ -237,6 +242,8 @@ def _polish(problem, config, x, f, trace, start, denominator):
             row = swap_row(problem, x, Ax, Cx, f, i, Z)
             for col, j in enumerate(Z):
                 if row[col] < -tol:
+                    if x[i] == 0.0 and x[j] == 0.0 and np.count_nonzero(x) == problem.s:
+                        continue  # budget 0 and x_B = 0: the move is the identity
                     if out_of_time():
                         return x, f, True
                     step = try_block(np.array(sorted((int(i), int(j)))))

@@ -43,6 +43,10 @@ _GAMMA_SLACK = 1e-12
 # gamma == 0 slack) its smallest eigenvalue loses too many digits to rank a
 # support, and pencil_keys leaves the support to solve_bisection.
 GAMMA_FLOOR = 1e-8
+# Coordinate descent updates its numerator and denominator in O(1) per move
+# and evaluates them exactly once the denominator falls below this fraction
+# of the largest value it had since the last exact evaluation.
+_SHRUNK = 1e-3
 
 
 class Certificate(enum.Enum):
@@ -362,39 +366,51 @@ def solve_coordinate_descent(
     if obj_tol is None:
         obj_tol = 1e-12 * (1.0 + abs(num / den))
 
+    # Qy and Ry hold the gradients Qy + p and Ry + c, and num and den follow
+    # each move in O(1): N(y + beta e_i) = N(y) + beta ((Qy + p)_i + Q_ii beta / 2).
     Qy = q.Q @ y + q.p
     Ry = q.R @ y + q.c
+    den_ref = den
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         f_before = num / den
         for i in range(m):
-            lower = -math.inf if lb is None else lb - y[i]
+            # Python floats: an overflow in the O(1) update reads as inf.
+            lower = -math.inf if lb is None else lb - float(y[i])
+            q_ii, r_ii, qy_i, ry_i = float(q.Q[i, i]), float(q.R[i, i]), float(Qy[i]), float(Ry[i])
             try:
-                beta, val = solve_1d_core(
-                    float(q.Q[i, i]), float(Qy[i]), num,
-                    float(q.R[i, i]), float(Ry[i]), den, lower,
-                )
+                beta, val = solve_1d_core(q_ii, qy_i, num, r_ii, ry_i, den, lower)
             except (UnboundedBelow, DegenerateDenominator):
                 # no attained minimizer along this coordinate (tail limit or
                 # a candidate on the denominator singularity): skip the move
                 continue
             if beta == 0.0 or val >= num / den:
                 continue
+            den_new = den + beta * (ry_i + 0.5 * r_ii * beta)
+            # Rounding left by the largest denominator since the last exact
+            # evaluation would dominate a much smaller one: evaluate exactly.
+            exact = den_new < _SHRUNK * den_ref
             y_i = y[i]
             y[i] += beta
-            den_new = q.denominator(y)
-            if den_new <= 0:
-                # a candidate on the denominator's zero (y = 0 with c = 0 and
-                # v = 0) that rounding kept positive in the 1-D form
+            if exact:
+                den_new = q.denominator(y)
+            if not 0.0 < den_new < math.inf:
+                # an overflowing step, or a candidate on the denominator's
+                # zero (y = 0 with c = 0 and v = 0) that rounding kept
+                # positive in the 1-D form
                 y[i] = y_i
                 continue
             Qy += beta * q.Q[:, i]
             Ry += beta * q.R[:, i]
-            num = q.numerator(y)
+            if exact:
+                num, den_ref = q.numerator(y), den_new
+            else:
+                num += beta * (qy_i + 0.5 * q_ii * beta)
+                den_ref = max(den_ref, den_new)
             den = den_new
         if f_before - num / den < obj_tol:
             break
     return QfpSolution(
-        y=y, value=num / den, alpha_star=None, iterations=sweeps,
+        y=y, value=q.value(y), alpha_star=None, iterations=sweeps,
         certificate=Certificate.COORDINATE_WISE_MIN,
     )

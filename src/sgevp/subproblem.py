@@ -2,10 +2,13 @@
 
 Given the current iterate and a working set B, the block objective is a
 ratio of quadratics in z = x_B with a proximal weight theta on the
-numerator.  The cardinality budget is q = s - ||x_N||_0.  The solver
-enumerates supports of size min(q, k) (support monotonicity makes the
-smaller sizes redundant) and solves each restricted quadratic fractional
-program globally.
+numerator.  The cardinality budget is q = s - ||x_N||_0.  Its coefficients
+are sums over T = supp(x) minus B, the only nonzeros of x_N, so assembling
+a block costs O(k s + s^2), not O(n^2).  The solver enumerates supports of
+size min(q, k) (support monotonicity makes the smaller sizes redundant) and
+solves each restricted quadratic fractional program globally; a
+one-coordinate block is the 1-D program and is solved in closed form
+wherever the route's solver would return the same value.
 
 A support's unconstrained infimum is the smallest eigenvalue of its
 bordered pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]]) (Golub, "Some
@@ -26,7 +29,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, UnboundedBelow
+from .fractional1d import solve_1d_core
 from .qfp import QfpSubproblem, pencil_keys, solve_bisection, solve_coordinate_descent
 
 MAX_BLOCK_SIZE = 20
@@ -45,25 +49,29 @@ class BlockSubproblem:
 
 
 def build_block_subproblem(problem, x, B, theta: float) -> BlockSubproblem:
-    """Assemble the block QFP coefficients for working set B at iterate x."""
+    """Assemble the block QFP coefficients for working set B at iterate x.
+
+    Only T = supp(x) minus B enters: the fixed coordinates outside T are
+    zeros, so the terms they would contribute are exact zeros, and a block
+    costs O(k s + s^2) reads of A and C instead of O(n^2).
+    """
     A, C = problem.A, problem.C
     x = np.asarray(x, dtype=float)
     B = np.asarray(B, dtype=int)
-    n = A.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[B] = True
-    N = np.flatnonzero(~mask)
+    outside = x != 0.0
+    outside[B] = False
+    T = np.flatnonzero(outside)
     xB = x[B]
-    xN = x[N]
+    xT = x[T]
     k = B.size
 
     Qbar = A[np.ix_(B, B)] + theta * np.eye(k)
-    pbar = A[np.ix_(B, N)] @ xN - theta * xB
-    wbar = 0.5 * float(xN @ A[np.ix_(N, N)] @ xN) + 0.5 * theta * float(xB @ xB)
+    pbar = A[np.ix_(B, T)] @ xT - theta * xB
+    wbar = 0.5 * float(xT @ A[np.ix_(T, T)] @ xT) + 0.5 * theta * float(xB @ xB)
     Rbar = C[np.ix_(B, B)]
-    cbar = C[np.ix_(B, N)] @ xN
-    vbar = 0.5 * float(xN @ C[np.ix_(N, N)] @ xN)
-    budget = int(problem.s) - int(np.count_nonzero(xN))
+    cbar = C[np.ix_(B, T)] @ xT
+    vbar = 0.5 * float(xT @ C[np.ix_(T, T)] @ xT)
+    budget = int(problem.s) - T.size
     if budget < 0:
         raise ValueError("iterate violates the sparsity budget outside the working set")
     qfp = QfpSubproblem(
@@ -77,7 +85,8 @@ def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.nda
     """Globally minimize the block QFP under ||z||_0 <= budget.
 
     Supports are solved by solve_bisection, or by solve_coordinate_descent
-    with a lower bound or method="coordinate-descent", in _ranked's order.
+    with a lower bound or method="coordinate-descent", in _ranked's order;
+    a one-coordinate block goes to _one_coordinate first.
     Returns (z, value); entries off the winning support are exact zeros.
     Among supports of equal value the first in combination order wins.
     """
@@ -92,10 +101,46 @@ def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.nda
         return np.zeros(k), qfp.w / qfp.v
 
     bisection = method == "bisection" and qfp.lower_bound is None
+    if k == 1:
+        closed = _one_coordinate(qfp, bisection)
+        if closed is not None:
+            return closed
     support, best = _ranked(qfp, q, solve_bisection if bisection else solve_coordinate_descent)
     z = np.zeros(k)
     z[support] = best.y
     return z, float(best.value)
+
+
+def _one_coordinate(qfp: QfpSubproblem, bisection: bool):
+    """(z, value) of a one-coordinate block with budget 1 in closed form,
+    or None where the route's solver decides.
+
+    The block is the 1-D fractional program that solve_1d_core minimizes.
+    The solver decides where the denominator is not positive everywhere
+    (v = 0 when x_N = 0), where the kernel raises or its point overflows
+    the denominator, and, on the bisection route, where the limit Q/R at
+    infinity lies below the kernel's value: solve_bisection then escapes
+    towards infinity.  On the coordinate-descent route the result is
+    coordinate descent's first move from y = 0, taken only if it lowers
+    the value below w/v; a second sweep would not move again.
+    """
+    Q, p, R, c, w, v = (
+        float(qfp.Q[0, 0]), float(qfp.p[0]), float(qfp.R[0, 0]), float(qfp.c[0]), qfp.w, qfp.v,
+    )
+    if not 2.0 * v * R > c * c:
+        return None
+    lower = -math.inf if qfp.lower_bound is None else qfp.lower_bound
+    try:
+        beta, value = solve_1d_core(Q, p, w, R, c, v, lower)
+    except (UnboundedBelow, DegenerateDenominator):
+        return None
+    if not 0.5 * R * beta * beta + c * beta + v < math.inf:
+        return None
+    if bisection:
+        return None if Q / R < value else (np.array([beta]), value)
+    if beta != 0.0 and value < w / v:
+        return np.array([beta]), value
+    return np.zeros(1), w / v
 
 
 def _restrict(qfp: QfpSubproblem, support) -> QfpSubproblem:

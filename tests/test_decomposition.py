@@ -9,6 +9,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sgevp import decomposition
 from sgevp.decomposition import (
     DecompositionConfig,
     ProblemInstance,
@@ -309,6 +310,33 @@ def test_polish_honours_time_limit():
     trace = solve(problem, DecompositionConfig(time_limit=0.0))
     assert trace.reason == "time_limit"
     assert trace.iterations == 1
+
+
+def test_polish_skips_budget_zero_swap_blocks(monkeypatch):
+    # Once a swap has taken i out of a full support, the pair {i, j} has
+    # x_B = 0 and budget 0, so its move is the identity; without the skip,
+    # polish solves 117 such blocks on this instance.
+    problem = dataclasses.replace(build_pca(gen_randn(300, 100, 14001)), s=6)
+    polish, solve_exact = decomposition._polish, decomposition.solve_exact
+    in_polish, blocks = [], []
+
+    def traced_polish(*args):
+        in_polish.append(True)
+        try:
+            return polish(*args)
+        finally:
+            in_polish.pop()
+
+    def traced_solve_exact(sub, method="bisection"):
+        if in_polish:
+            blocks.append((sub.qfp.dim, sub.budget))
+        return solve_exact(sub, method)
+
+    monkeypatch.setattr(decomposition, "_polish", traced_polish)
+    monkeypatch.setattr(decomposition, "solve_exact", traced_solve_exact)
+    solve(problem, DecompositionConfig(max_iters=8))
+    assert any(k == 2 for k, _ in blocks)
+    assert all(budget > 0 for _, budget in blocks)
 
 
 def test_lower_bound_respected():

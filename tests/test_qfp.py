@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgevp import linalg
 from sgevp.errors import NonPositiveGamma
@@ -217,6 +220,55 @@ def test_cd_skips_a_move_onto_the_denominator_zero():
     sol = solve_coordinate_descent(q)
     assert np.all(sol.y >= 0.0) and q.denominator(sol.y) > 0.0
     assert sol.value == q.value(sol.y)
+
+
+def test_cd_does_not_step_onto_an_overflowing_denominator():
+    # From the start (0, 1.41) the exact 1-D move along y_0 lies at
+    # y_0 = -5.1e303, where the denominator overflows; taking it would end
+    # in a nan value.
+    t = 5.6e-309
+    q = QfpSubproblem(
+        Q=np.array([[1e-5, t], [t, 1e-5]]), p=np.zeros(2), w=2e-5,
+        R=np.eye(2) / 2, c=np.zeros(2), v=0.0,
+    )
+    sol = solve_coordinate_descent(q)
+    assert np.all(np.isfinite(sol.y)) and math.isfinite(sol.value)
+    assert sol.value == q.value(sol.y)
+
+
+@st.composite
+def cd_cases(draw):
+    """A QFP of m <= 6 coordinates with R SPD, a denominator that is
+    positive away from y = 0 (gamma >= 0; gamma = 0 when c = 0 and v = 0)
+    and a lower bound of None, 0 or -1."""
+    m = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+    M = draw(arrays(float, (m, m), elements=entries))
+    G = draw(arrays(float, (m, m), elements=st.floats(-4.0, 4.0)))
+    R = G @ G.T / m + 0.5 * np.eye(m)
+    if draw(st.booleans()):
+        c, v = np.zeros(m), 0.0
+    else:
+        c = draw(arrays(float, m, elements=st.floats(-4.0, 4.0)))
+        v = 0.5 * float(c @ np.linalg.solve(R, c)) + draw(st.floats(1e-3, 4.0))
+    return QfpSubproblem(
+        Q=0.5 * (M + M.T), p=draw(arrays(float, m, elements=entries)),
+        w=draw(st.floats(-4.0, 4.0)), R=R, c=c, v=v,
+        lower_bound=draw(st.sampled_from([None, 0.0, -1.0])),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cd_cases())
+def test_cd_value_is_the_value_of_its_point(q):
+    # num and den follow each move in O(1) and are evaluated exactly only
+    # where rounding could dominate; the value returned is still finite and
+    # the objective at the point returned.
+    sol = solve_coordinate_descent(q)
+    assert math.isfinite(sol.value)
+    assert sol.value == q.value(sol.y)
+    if q.lower_bound is not None:
+        assert np.all(sol.y >= q.lower_bound)
 
 
 def test_cd_bound_kkt():

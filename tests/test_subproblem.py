@@ -4,11 +4,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgevp import subproblem
+from sgevp import linalg, subproblem
 from sgevp.decomposition import ProblemInstance
 from sgevp.errors import SgevpError
 from sgevp.problems import build_pca, gen_randn
@@ -98,6 +98,83 @@ def test_full_block_theta_zero():
     assert sub.qfp.w == pytest.approx(0.0)
     assert sub.qfp.v == pytest.approx(0.0)
     assert sub.budget == problem.s
+
+
+def dense_complement_block(problem, x, B, theta):
+    """build_block_subproblem's coefficients summed over the whole
+    complement N of B, zero entries of x included."""
+    A, C = problem.A, problem.C
+    N = np.setdiff1d(np.arange(problem.dim), B)
+    xB, xN = x[B], x[N]
+    return dict(
+        Q=A[np.ix_(B, B)] + theta * np.eye(B.size),
+        p=A[np.ix_(B, N)] @ xN - theta * xB,
+        w=0.5 * float(xN @ A[np.ix_(N, N)] @ xN) + 0.5 * theta * float(xB @ xB),
+        R=C[np.ix_(B, B)],
+        c=C[np.ix_(B, N)] @ xN,
+        v=0.5 * float(xN @ C[np.ix_(N, N)] @ xN),
+        budget=problem.s - int(np.count_nonzero(xN)),
+    )
+
+
+@st.composite
+def assembly_cases(draw):
+    """(problem, x, B, theta) with n <= 12, a random working set B, x_N = 0
+    or not, a budget up to the full s - ||x_N||_0 = |B| and a lower bound."""
+    n = draw(st.integers(1, 12))
+    B = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    M = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+    G = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+    x = draw(arrays(float, n, elements=st.one_of(st.just(0.0), st.floats(-4.0, 4.0))))
+    if draw(st.booleans()):
+        x[np.setdiff1d(np.arange(n), B)] = 0.0
+    used = int(np.count_nonzero(np.delete(x, B)))
+    s = draw(st.integers(max(used, 1), used + B.size))
+    problem = ProblemInstance(
+        A=0.5 * (M + M.T), C=G @ G.T / n + 0.5 * np.eye(n), s=s,
+        lower_bound=draw(st.sampled_from([None, 0.0, -1.0])),
+    )
+    return problem, x, B, draw(st.sampled_from([0.0, 1e-5]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(assembly_cases())
+def test_assembly_from_the_support_matches_the_dense_complement(case):
+    # Only the support enters; the rest of the complement contributes exact
+    # zeros, so the coefficients agree up to the order of summation.
+    problem, x, B, theta = case
+    sub = build_block_subproblem(problem, x, B, theta)
+    dense = dense_complement_block(problem, x, B, theta)
+    qfp = sub.qfp
+    assert sub.budget == dense["budget"] and qfp.lower_bound == problem.lower_bound
+    assert np.array_equal(qfp.Q, linalg.symmetrize(dense["Q"]))
+    assert np.array_equal(qfp.R, linalg.symmetrize(dense["R"]))
+    # Rounding of a sum of n terms of size |A_ij x_i x_j|.
+    entries = np.abs(problem.A).max() + np.abs(problem.C).max()
+    atol = 1e-13 * problem.dim * (1.0 + np.abs(x).max()) ** 2 * (1.0 + entries)
+    for name in ("p", "w", "c", "v"):
+        np.testing.assert_allclose(getattr(qfp, name), dense[name], rtol=0, atol=atol)
+
+
+def test_assembly_reads_nothing_outside_the_block_and_the_support():
+    # Entries of A and C whose row and column both lie outside B and the
+    # support multiply zeros of x; poisoned with nan, they must not be read.
+    rng = np.random.default_rng(52)
+    problem, x = make_state(rng, 12, 4)
+    B = np.array([0, 3, 7])
+    clean = build_block_subproblem(problem, x, B, 1e-5)
+    outside = np.ones(12, dtype=bool)
+    outside[B] = False
+    outside[np.flatnonzero(x)] = False
+    assert outside.sum() >= 5
+    problem.A[np.ix_(outside, outside)] = np.nan
+    problem.C[np.ix_(outside, outside)] = np.nan
+    poisoned = build_block_subproblem(problem, x, B, 1e-5)
+    for name in ("Q", "p", "w", "R", "c", "v"):
+        value = getattr(poisoned.qfp, name)
+        assert np.all(np.isfinite(value))
+        assert np.array_equal(value, getattr(clean.qfp, name))
+    assert poisoned.budget == clean.budget
 
 
 def test_budget_counting():
@@ -231,14 +308,16 @@ def exact_by_loop(sub, solve=solve_bisection, tolerate=()):
 
 
 @st.composite
-def block_cases(draw, lower_bounds=st.none()):
-    """A block of the first k <= 10 coordinates of a small problem, with
-    budget q >= 1 and a lower bound drawn from lower_bounds.
+def block_cases(draw, lower_bounds=st.none(), sizes=st.integers(2, 10)):
+    """A block of the first k coordinates of a small problem, k drawn from
+    sizes, with budget q >= 1 and a lower bound drawn from lower_bounds.
+    One-coordinate blocks are left out by default: solve_exact solves them
+    in closed form, not by ranking.
 
     Zero entries in A make exact ties and hard cases (g orthogonal to the
     bottom eigenvector); a point with no entries outside the block has
     x_N = 0, so gamma = 0; C is the identity or a random SPD matrix."""
-    k = draw(st.integers(1, 10))
+    k = draw(sizes)
     n = k + draw(st.integers(0, 4))
     entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
     M = draw(arrays(float, (n, n), elements=entries))
@@ -309,6 +388,40 @@ def test_ranked_enumeration_matches_coordinate_descent_loop(sub):
     check_ranked_matches_loop(sub, "coordinate-descent", solve_coordinate_descent, strict=False)
 
 
+def one_coordinate_block(Q, p, w, c, v):
+    qfp = QfpSubproblem(
+        Q=np.array([[Q]]), p=np.array([p]), w=w, R=np.eye(1), c=np.array([c]), v=v,
+    )
+    return BlockSubproblem(qfp=qfp, budget=1)
+
+
+# Hard cases: p R = Q c, so the ratio minus the limit Q/R = -1 is the
+# positive constant (w - Q v / R) / den, and the infimum lies at infinity.
+AT_INFINITY = [one_coordinate_block(-1.0, 0.0, 0.25, 0.0, 0.5),
+               one_coordinate_block(-1.0, -0.5, 1.0, 0.5, 1.0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    block_cases(lower_bounds=st.sampled_from([None, 0.0, -1.0]), sizes=st.just(1)),
+    st.sampled_from(["bisection", "coordinate-descent"]),
+)
+@example(AT_INFINITY[0], "bisection")
+@example(AT_INFINITY[1], "bisection")
+@example(AT_INFINITY[1], "coordinate-descent")
+def test_one_coordinate_block_in_closed_form(sub, method):
+    # A 1x1 block is solved in closed form, or by the route's solver where
+    # the closed form defers to it (v = 0 when x_N = 0; on the bisection
+    # route, an infimum at infinity); either way its value is the route's
+    # lone-support solve.
+    bisection = method == "bisection" and sub.qfp.lower_bound is None
+    _, sol = _ranked(sub.qfp, 1, solve_bisection if bisection else solve_coordinate_descent)
+    z, value = solve_exact(sub, method)
+    assert abs(value - sol.value) <= 1e-12 * (1.0 + abs(value))
+    if sub.qfp.lower_bound is not None:
+        assert z[0] >= sub.qfp.lower_bound
+
+
 def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
     # A bounded block with x_N = 0 (gamma = 0), k = 8 and q = 4 as on a
     # lower_bound = 0 PCA run: 35 of the 70 supports have keys above the
@@ -347,19 +460,26 @@ def test_ranking_band_covers_keys_rounded_above_the_value():
     check_ranked_matches_loop(sub, "coordinate-descent", solve_coordinate_descent)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_ranking_never_picks_a_nan_value():
-    # Coordinate descent on support {0, 1} steps to y_0 ~ -5e303, overflows
-    # the denominator and returns a nan value.  All three supports share one
-    # key, so all are solved, {0, 1} first; the loop skips the nan value.
+def test_ranking_never_picks_a_nan_value(monkeypatch):
+    # A solve that returns a nan value on support {0, 1}, as a step that
+    # overflows the denominator would.  All three supports share one key,
+    # so all are solved, {0, 1} first; the loop skips the nan value.
     t = 5.6e-309
     Q = np.array([[1e-5, t, 0.0], [t, 1e-5, 0.0], [0.0, 0.0, 1e-5]])
     qfp = QfpSubproblem(Q=Q, p=np.zeros(3), w=2e-5, R=np.eye(3) / 2, c=np.zeros(3), v=0.0)
     sub = BlockSubproblem(qfp=qfp, budget=2)
-    z_loop, value_loop, support_loop, values, _ = exact_by_loop(sub, solve_coordinate_descent)
+
+    def diverging(restricted):
+        sol = solve_coordinate_descent(restricted)
+        if restricted.Q[0, 1] == t:
+            sol = dataclasses.replace(sol, value=np.nan)
+        return sol
+
+    z_loop, value_loop, support_loop, values, _ = exact_by_loop(sub, diverging)
     assert np.isnan(values[0]) and np.all(np.isfinite(values[1:]))
-    support, sol = _ranked(qfp, 2, solve_coordinate_descent)
+    support, sol = _ranked(qfp, 2, diverging)
     assert tuple(support) == support_loop and sol.value == value_loop
+    monkeypatch.setattr(subproblem, "solve_coordinate_descent", diverging)
     z, value = solve_exact(sub, "coordinate-descent")
     assert z.tobytes() == z_loop.tobytes() and value == value_loop
 

@@ -357,7 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--s", type=int, required=True)
     certify.add_argument("--trace", type=Path, required=True)
     certify.add_argument("--k", type=int, default=4)
-    certify.add_argument("--tol", type=float, default=1e-6)
+    certify.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="absolute tolerance on the objective descent of any swap or 1-D move, and on "
+        "the block-k measure; polish stops at the relative 1e-9 (1 + |f|) (default 1e-6)",
+    )
     certify.add_argument("--measure-cap", type=int, default=5000)
     certify.set_defaults(func=cmd_certify)
 

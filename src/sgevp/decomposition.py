@@ -27,7 +27,7 @@ from .working_set import (
     select_random,
     support_and_zero,
     swap_descent,  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
-    swap_row,
+    swap_scores,
 )
 
 DENOMINATOR_FLOOR = 1e-14
@@ -235,23 +235,25 @@ def _polish(problem, config, x, f, trace, start, denominator):
                 x, f = step
                 moved = True
         # Swap pairs in the order (support, zero) as they stood at the start
-        # of the sweep; products and scores go stale only on an accepted move.
+        # of the sweep, all scored in one pass; the scores go stale only on
+        # an accepted move, which rescores this row and the rows after it.
         S, Z = support_and_zero(x)
-        Ax, Cx = problem.A @ x, problem.C @ x
-        for i in S:
-            row = swap_row(problem, x, Ax, Cx, f, i, Z)
-            for col, j in enumerate(Z):
-                if row[col] < -tol:
-                    if x[i] == 0.0 and x[j] == 0.0 and np.count_nonzero(x) == problem.s:
-                        continue  # budget 0 and x_B = 0: the move is the identity
-                    if out_of_time():
-                        return x, f, True
-                    step = try_block(np.array(sorted((int(i), int(j)))))
-                    if step is not None:
-                        x, f = step
-                        moved = True
-                        Ax, Cx = problem.A @ x, problem.C @ x
-                        row = swap_row(problem, x, Ax, Cx, f, i, Z)
+        D = swap_scores(problem, x, problem.A @ x, problem.C @ x, f, S, Z)
+        for a, i in enumerate(S):
+            col = -1
+            # The next improving pair of this row, read from the current scores.
+            while (ahead := np.flatnonzero(D[a, col + 1:] < -tol)).size:
+                col += 1 + int(ahead[0])
+                j = Z[col]
+                if x[i] == 0.0 and x[j] == 0.0 and np.count_nonzero(x) == problem.s:
+                    continue  # budget 0 and x_B = 0: the move is the identity
+                if out_of_time():
+                    return x, f, True
+                step = try_block(np.array(sorted((int(i), int(j)))))
+                if step is not None:
+                    x, f = step
+                    moved = True
+                    D[a:] = swap_scores(problem, x, problem.A @ x, problem.C @ x, f, S[a:], Z)
         if not moved:
             break
     return x, f, False
@@ -326,7 +328,13 @@ def certify_block2_stationary(
     problem: ProblemInstance, x: np.ndarray, tol: float
 ) -> bool:
     """True iff no swap pair improves by more than tol and every support
-    coordinate is 1-D optimal with the support fixed."""
+    coordinate is 1-D optimal with the support fixed.
+
+    tol is absolute: a move fails the certificate when it lowers the
+    objective by more than tol.  Polish stops at the relative threshold
+    1e-9 (1 + |f|) instead, so on objectives of large magnitude a polished
+    iterate can fail a small absolute tol.
+    """
     x = np.asarray(x, dtype=float)
     f_x = objective(problem, x)
     Ax = problem.A @ x

@@ -53,7 +53,9 @@ def build_block_subproblem(problem, x, B, theta: float) -> BlockSubproblem:
 
     Only T = supp(x) minus B enters: the fixed coordinates outside T are
     zeros, so the terms they would contribute are exact zeros, and a block
-    costs O(k s + s^2) reads of A and C instead of O(n^2).
+    costs O(k s + s^2) reads of A and C instead of O(n^2).  Each matrix is
+    gathered once over U = B ++ T; the B x T and T x T slices are copied
+    contiguous so the products round as those of separate gathers.
     """
     A, C = problem.A, problem.C
     x = np.asarray(x, dtype=float)
@@ -64,13 +66,16 @@ def build_block_subproblem(problem, x, B, theta: float) -> BlockSubproblem:
     xB = x[B]
     xT = x[T]
     k = B.size
+    U = np.concatenate([B, T])
+    G = A[U][:, U]
+    H = C[U][:, U]
 
-    Qbar = A[np.ix_(B, B)] + theta * np.eye(k)
-    pbar = A[np.ix_(B, T)] @ xT - theta * xB
-    wbar = 0.5 * float(xT @ A[np.ix_(T, T)] @ xT) + 0.5 * theta * float(xB @ xB)
-    Rbar = C[np.ix_(B, B)]
-    cbar = C[np.ix_(B, T)] @ xT
-    vbar = 0.5 * float(xT @ C[np.ix_(T, T)] @ xT)
+    Qbar = G[:k, :k] + theta * np.eye(k)
+    pbar = np.ascontiguousarray(G[:k, k:]) @ xT - theta * xB
+    wbar = 0.5 * float(xT @ np.ascontiguousarray(G[k:, k:]) @ xT) + 0.5 * theta * float(xB @ xB)
+    Rbar = H[:k, :k]
+    cbar = np.ascontiguousarray(H[:k, k:]) @ xT
+    vbar = 0.5 * float(xT @ np.ascontiguousarray(H[k:, k:]) @ xT)
     budget = int(problem.s) - T.size
     if budget < 0:
         raise ValueError("iterate violates the sparsity budget outside the working set")

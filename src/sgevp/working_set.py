@@ -3,10 +3,10 @@
 The swapping strategy scores every (support i, zero j) pair by the exact
 objective descent achievable when i leaves the support and j enters with
 its optimal coefficient, then greedily takes the best nonoverlapping
-pairs.  Scores for a whole row (fixed i, all j) are computed vectorized
-from rank-one corrections of the precomputed products A@x and C@x
-(swap_row); selection, polish and the block-2 certificate all score swaps
-this way.  swap_descent is the explicit per-pair reference.
+pairs.  One batched kernel (swap_scores) scores rows I against columns J
+in a single pass, from rank-one corrections of the precomputed products
+A@x and C@x; selection, polish and the block-2 certificate all score swaps
+with it.  swap_descent is the explicit per-pair reference.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def swap_descent(problem, x, i: int, j: int) -> float:
     """Best objective change for the swap (i out, j in); <= 0 means improvement.
 
     Explicit O(n^2) formula: builds v = x - x_i e_i and line-searches along
-    e_j.  Reference for swap_row / descent_matrix, not used by the solver.
+    e_j.  Reference for swap_scores / descent_matrix, not used by the solver.
     """
     A, C = problem.A, problem.C
     x = np.asarray(x, dtype=float)
@@ -74,27 +74,29 @@ def swap_descent(problem, x, i: int, j: int) -> float:
     return best - f_x
 
 
-def swap_row(problem, x, Ax, Cx, f_x: float, i: int, J) -> np.ndarray:
-    """swap_descent(i, j) for every j in J, vectorized.
+def swap_scores(problem, x, Ax, Cx, f_x: float, I, J) -> np.ndarray:
+    """swap_descent(i, j) for every i in I and j in J, as an |I| x |J| matrix.
 
     v = x - x_i e_i enters only through rank-one corrections of the
-    products Ax = A@x and Cx = C@x, so a row costs O(n) instead of O(n^2)
-    per pair.
+    products Ax = A@x and Cx = C@x, so an entry costs O(1) instead of
+    O(n^2).
     """
     A, C = problem.A, problem.C
-    xi = x[i]
+    xi = x[I][:, None]
     a = np.diag(A)[J]
-    b = Ax[J] - xi * A[J, i]
-    c = 0.5 * (float(x @ Ax) - 2.0 * xi * Ax[i] + xi * xi * A[i, i])
+    b = Ax[J] - xi * A[:, I][J].T
+    c = 0.5 * (float(x @ Ax) - 2.0 * xi * Ax[I][:, None] + xi * xi * A[I, I][:, None])
     r = np.diag(C)[J]
-    s = Cx[J] - xi * C[J, i]
-    t = 0.5 * (float(x @ Cx) - 2.0 * xi * Cx[i] + xi * xi * C[i, i])
-    if t <= 0.0 or not (np.any(x[:i]) or np.any(x[i + 1:])):
-        # v = 0: the support was exactly {i} and the swap lands on a pure
-        # axis.  v is tested itself because t is then rounding noise of
-        # either sign when C_ii x_i^2 is inexact.
-        return a / r - f_x
-    return _solve_1d_rowwise(a, b, c, r, s, t) - f_x
+    s = Cx[J] - xi * C[:, I][J].T
+    t = 0.5 * (float(x @ Cx) - 2.0 * xi * Cx[I][:, None] + xi * xi * C[I, I][:, None])
+    D = _solve_1d_rowwise(a, b, c, r, s, t) - f_x
+    # v = 0: the support was exactly {i} and the swap lands on a pure axis.
+    # v is tested itself because t is then rounding noise of either sign
+    # when C_ii x_i^2 is inexact.
+    axis = (t <= 0.0) | (np.count_nonzero(x) - (xi != 0.0) == 0)
+    if np.any(axis):
+        D = np.where(axis, a / r - f_x, D)
+    return D
 
 
 def descent_matrix(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,19 +108,16 @@ def descent_matrix(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     S, Z = support_and_zero(x)
     f_x = objective(problem, x)
-    Ax = problem.A @ x
-    Cx = problem.C @ x
-    D = np.empty((S.size, Z.size))
-    for row, i in enumerate(S):
-        D[row, :] = swap_row(problem, x, Ax, Cx, f_x, i, Z)
+    D = swap_scores(problem, x, problem.A @ x, problem.C @ x, f_x, S, Z)
     return S, Z, D
 
 
-def _solve_1d_rowwise(a, b, c: float, r, s, t: float) -> np.ndarray:
+def _solve_1d_rowwise(a, b, c, r, s, t) -> np.ndarray:
     """Vectorized unconstrained 1-D fractional minimum values.
 
-    Candidates are the real stationary points; with no real root the value
-    is the a/r limit at infinity.  Mirrors solve_1d / solve_1d_core.
+    The coefficients broadcast against each other.  Candidates are the
+    real stationary points; with no real root the value is the a/r limit
+    at infinity.  Mirrors solve_1d / solve_1d_core.
     """
     pi = a * s - b * r
     theta = a * t - c * r
@@ -126,7 +125,7 @@ def _solve_1d_rowwise(a, b, c: float, r, s, t: float) -> np.ndarray:
     disc = theta * theta - 2.0 * pi * iota
     limit = np.where(r > 0, a / np.where(r > 0, r, 1.0), np.inf)
 
-    values = np.full(a.shape, np.inf)
+    values = np.full(disc.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sq = np.sqrt(np.maximum(disc, 0.0))
         quad = pi != 0.0

@@ -22,7 +22,7 @@ from sgevp.decomposition import (
     solve,
 )
 from sgevp.errors import DegenerateDenominator, UnboundedBelow
-from sgevp.fractional1d import OneDimCoefficients, psi_value, solve_1d
+from sgevp.fractional1d import OneDimCoefficients, solve_1d
 from sgevp.problems import build_cca, build_fda, build_pca, gen_randn
 from sgevp.qfp import (
     Certificate,
@@ -46,35 +46,33 @@ def report(num: int, ok: bool, detail: str) -> None:
 # criterion 1: 1-D closed form vs dense grid oracle, 1000 instances, < 10 s
 
 
-def _grid_value_fast(coeff, coarse32, g2_32, buf_a, buf_b):
-    # coarse float32 pass over [-100, 100] at step 1e-4, buffers preallocated
-    np.multiply(g2_32, np.float32(0.5 * coeff.r), out=buf_a)
-    buf_a += np.float32(coeff.s) * coarse32
-    buf_a += np.float32(coeff.t)
-    np.multiply(g2_32, np.float32(0.5 * coeff.a), out=buf_b)
-    buf_b += np.float32(coeff.b) * coarse32
-    buf_b += np.float32(coeff.c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(buf_b, buf_a, out=buf_b)
-    buf_b[buf_a <= 0] = np.inf
-    beta = float(coarse32[int(np.argmin(buf_b))])
-    # float64 local refinement down to step 1e-8
-    for step, span in ((1e-6, 1.5e-2), (1e-8, 2e-6)):
-        grid = np.arange(beta - span, beta + span, step)
-        den = 0.5 * coeff.r * grid * grid + coeff.s * grid + coeff.t
-        num = 0.5 * coeff.a * grid * grid + coeff.b * grid + coeff.c
-        vals = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
-        beta = float(grid[int(np.argmin(vals))])
-    return psi_value(coeff, beta)
+def _grid_value(coeff, lo=-100.0, hi=100.0, step=1e-2):
+    """Grid minimum of psi over [lo, hi], refined down to step 1e-8.
+
+    Each discrete local minimum of the grid (window edges included)
+    brackets a local minimum of psi within one step on either side, and psi
+    has at most one interior local minimum; the grid is refined 100-fold
+    around every discrete local minimum, not only around the best one.
+    """
+    grid = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    den = 0.5 * coeff.r * grid * grid + coeff.s * grid + coeff.t
+    num = 0.5 * coeff.a * grid * grid + coeff.b * grid + coeff.c
+    vals = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
+    if step <= 1e-8:
+        return float(vals.min())
+    # A run of equal values counts once, at its right end.
+    left = np.concatenate(([np.inf], vals[:-1]))
+    right = np.concatenate((vals[1:], [np.inf]))
+    minima = np.flatnonzero((vals <= left) & (vals < right))
+    return min(
+        _grid_value(coeff, max(grid[m] - step, -100.0), min(grid[m] + step, 100.0), step / 100)
+        for m in minima
+    )
 
 
 def test_criterion_01_one_dim_global_optimality():
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
-    coarse32 = np.arange(-100.0, 100.0001, 1e-4, dtype=np.float32)
-    g2_32 = coarse32 * coarse32
-    buf_a = np.empty_like(coarse32)
-    buf_b = np.empty_like(coarse32)
     worst = 0.0
     count = 0
     while count < 1000:
@@ -90,7 +88,7 @@ def test_criterion_01_one_dim_global_optimality():
             continue
         if abs(sol.beta) > 90.0:
             continue  # optimum outside the oracle window: not bounded-in-window
-        val = _grid_value_fast(coeff, coarse32, g2_32, buf_a, buf_b)
+        val = _grid_value(coeff)
         worst = max(worst, abs(sol.value - val))
         count += 1
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgevp import decomposition
+from sgevp import decomposition, working_set
 from sgevp.decomposition import (
     DecompositionConfig,
     ProblemInstance,
@@ -337,6 +337,42 @@ def test_polish_skips_budget_zero_swap_blocks(monkeypatch):
     solve(problem, DecompositionConfig(max_iters=8))
     assert any(k == 2 for k, _ in blocks)
     assert all(budget > 0 for _, budget in blocks)
+
+
+def test_polish_scores_each_sweep_in_one_pass(monkeypatch):
+    # Polish scores all (support, zero) pairs once per sweep and rescores the
+    # rows from the current one on after each accepted swap move, so the
+    # vectorized 1-D kernel runs once per sweep plus once per accepted swap.
+    problem = dataclasses.replace(build_pca(gen_randn(300, 100, 1000)), s=12)
+    polish = decomposition._polish
+    kernel = working_set._solve_1d_rowwise
+    in_polish, sweeps, kernel_calls = [], [], []
+
+    def traced_polish(*args):
+        in_polish.append(True)
+        try:
+            return polish(*args)
+        finally:
+            in_polish.pop()
+
+    def traced_support_and_zero(x):
+        if in_polish:
+            sweeps.append(True)
+        return support_and_zero(x)
+
+    def traced_kernel(*args):
+        if in_polish:
+            kernel_calls.append(True)
+        return kernel(*args)
+
+    monkeypatch.setattr(decomposition, "_polish", traced_polish)
+    monkeypatch.setattr(decomposition, "support_and_zero", traced_support_and_zero)
+    monkeypatch.setattr(working_set, "_solve_1d_rowwise", traced_kernel)
+    trace = solve(problem, DecompositionConfig(max_iters=8))
+    # The main loop's blocks have k = 12 coordinates; polish's have 1 or 2.
+    swap_moves = sum(1 for B in trace.working_sets if B.size == 2)
+    assert len(sweeps) >= 2 and swap_moves >= 1
+    assert len(kernel_calls) == len(sweeps) + swap_moves
 
 
 def test_lower_bound_respected():

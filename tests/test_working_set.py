@@ -1,9 +1,13 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sgevp.decomposition import objective
+from sgevp.decomposition import ProblemInstance, objective
 from sgevp.errors import InsufficientCoordinates, InvalidK
 from sgevp.working_set import (
     Provenance,
@@ -13,6 +17,7 @@ from sgevp.working_set import (
     select_swapping,
     support_and_zero,
     swap_descent,
+    swap_scores,
     _solve_1d_rowwise,
 )
 
@@ -138,6 +143,78 @@ def test_rowwise_huge_stationary_root_is_not_dropped():
         np.array([1.0]), np.array([1e-170]), 2.0, np.array([1.0]), np.array([2e-170]), 1.0,
     )
     assert row[0] == pytest.approx(1.0, rel=1e-15)
+    # Batched: the same row beside an ordinary one, per-row c and t as a
+    # column; each row equals its own 1-D call bit for bit.
+    a, r = np.array([1.0, 1.0]), np.array([1.0, 1.0])
+    b = np.array([[1e-170, 1e-170], [0.5, -0.3]])
+    s = np.array([[2e-170, 2e-170], [0.1, 0.2]])
+    c, t = np.array([[2.0], [1.0]]), np.array([[1.0], [2.0]])
+    rows = _solve_1d_rowwise(a, b, c, r, s, t)
+    assert rows.shape == (2, 2)
+    assert rows[0] == pytest.approx(1.0, rel=1e-15)
+    for i in range(2):
+        alone = _solve_1d_rowwise(a, b[i], float(c[i, 0]), r, s[i], float(t[i, 0]))
+        assert rows[i].tobytes() == alone.tobytes()
+
+
+def swap_row_oracle(problem, x, Ax, Cx, f_x, i, J):
+    """The per-row scorer that swap_scores batches: swap_descent(i, j) for
+    every j in J, from rank-one corrections of Ax and Cx."""
+    A, C = problem.A, problem.C
+    xi = x[i]
+    a = np.diag(A)[J]
+    b = Ax[J] - xi * A[J, i]
+    c = 0.5 * (float(x @ Ax) - 2.0 * xi * Ax[i] + xi * xi * A[i, i])
+    r = np.diag(C)[J]
+    s = Cx[J] - xi * C[J, i]
+    t = 0.5 * (float(x @ Cx) - 2.0 * xi * Cx[i] + xi * xi * C[i, i])
+    if t <= 0.0 or not (np.any(x[:i]) or np.any(x[i + 1:])):
+        return a / r - f_x
+    return _solve_1d_rowwise(a, b, c, r, s, t) - f_x
+
+
+@st.composite
+def scoring_cases(draw):
+    """(problem, x, I, J): disjoint rows I and columns J over any coordinates,
+    so rows with x_i = 0 (a support coordinate a polish move took out) and
+    columns with x_j != 0 occur; supports down to one coordinate, where t
+    is rounding noise; C the identity or not."""
+    n = draw(st.integers(2, 8))
+    M = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+    G = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+    C = np.eye(n) if draw(st.booleans()) else G @ G.T / n + 0.5 * np.eye(n)
+    entries = st.one_of(st.just(0.0), st.floats(-4.0, 4.0), st.sampled_from([0.1, -0.1, 1e-3]))
+    x = draw(arrays(float, n, elements=entries))
+    keep = draw(st.integers(0, n - 1))
+    x[keep] = draw(st.sampled_from([1.0, -0.1, 0.3, 2.5]))
+    if draw(st.booleans()):
+        x[np.arange(n) != keep] = 0.0  # a singleton support
+    role = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    I, J = np.flatnonzero(role == 0), np.flatnonzero(role == 1)
+    problem = ProblemInstance(A=0.5 * (M + M.T), C=C, s=n)
+    return problem, x, I, J
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scoring_cases())
+@example((
+    ProblemInstance(
+        A=np.ones((3, 3)),
+        C=np.array([[1.265625, 0.765625, 0.0], [0.765625, 1.265625, 0.0], [0.0, 0.0, 1.0]]),
+        s=1,
+    ),
+    np.array([-0.1, 0.0, 0.0]), np.array([0, 2]), np.array([1]),
+))
+def test_swap_scores_equal_the_per_row_oracle_bit_for_bit(case):
+    problem, x, I, J = case
+    Ax, Cx = problem.A @ x, problem.C @ x
+    f_x = objective(problem, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D = swap_scores(problem, x, Ax, Cx, f_x, I, J)
+        assert D.shape == (I.size, J.size)
+        for row, i in enumerate(I):
+            assert D[row].tobytes() == swap_row_oracle(problem, x, Ax, Cx, f_x, i, J).tobytes()
 
 
 def greedy_reference(S, Z, D, pairs):

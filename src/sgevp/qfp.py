@@ -10,8 +10,10 @@ Two routes:
   objective into (u'Ou/2 + u'g + delta/2) / (|u|^2/2 + gamma/2), and the
   optimal value is the unique root of the monotone parametric function
   J(alpha) on [lambda_min(Z), lambda_min(O)).
-* ``solve_coordinate_descent`` -- cyclic exact 1-D minimization; handles
-  the lower bound, converges to a coordinate-wise minimum.
+* ``solve_coordinate_descent`` -- cyclic exact 1-D minimization with
+  fractional1d's solve_1d_core; handles the lower bound, converges to a
+  coordinate-wise minimum.  Each move updates the numerator, denominator
+  and gradients in O(m), on Python floats.
 
 ``assemble_reduced`` and the batched support ranking ``pencil_keys`` share
 one stacked change of variables, ``_whiten``.
@@ -368,16 +370,21 @@ def solve_coordinate_descent(
 
     # Qy and Ry hold the gradients Qy + p and Ry + c, and num and den follow
     # each move in O(1): N(y + beta e_i) = N(y) + beta ((Qy + p)_i + Q_ii beta / 2).
-    Qy = q.Q @ y + q.p
-    Ry = q.R @ y + q.c
+    # y, the gradients and the columns of Q and R are lists of Python floats,
+    # which round each operation as numpy's elementwise float64 arithmetic
+    # does, without a numpy call per coordinate; an overflow reads as inf.
+    Qy = (q.Q @ y + q.p).tolist()
+    Ry = (q.R @ y + q.c).tolist()
+    Q_cols, R_cols = q.Q.T.tolist(), q.R.T.tolist()
+    y = y.tolist()
     den_ref = den
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         f_before = num / den
         for i in range(m):
-            # Python floats: an overflow in the O(1) update reads as inf.
-            lower = -math.inf if lb is None else lb - float(y[i])
-            q_ii, r_ii, qy_i, ry_i = float(q.Q[i, i]), float(q.R[i, i]), float(Qy[i]), float(Ry[i])
+            lower = -math.inf if lb is None else lb - y[i]
+            Q_i, R_i = Q_cols[i], R_cols[i]
+            q_ii, r_ii, qy_i, ry_i = Q_i[i], R_i[i], Qy[i], Ry[i]
             try:
                 beta, val = solve_1d_core(q_ii, qy_i, num, r_ii, ry_i, den, lower)
             except (UnboundedBelow, DegenerateDenominator):
@@ -393,23 +400,25 @@ def solve_coordinate_descent(
             y_i = y[i]
             y[i] += beta
             if exact:
-                den_new = q.denominator(y)
+                y_exact = np.array(y)
+                den_new = q.denominator(y_exact)
             if not 0.0 < den_new < math.inf:
                 # an overflowing step, or a candidate on the denominator's
                 # zero (y = 0 with c = 0 and v = 0) that rounding kept
                 # positive in the 1-D form
                 y[i] = y_i
                 continue
-            Qy += beta * q.Q[:, i]
-            Ry += beta * q.R[:, i]
+            Qy = [g + beta * col for g, col in zip(Qy, Q_i)]
+            Ry = [g + beta * col for g, col in zip(Ry, R_i)]
             if exact:
-                num, den_ref = q.numerator(y), den_new
+                num, den_ref = q.numerator(y_exact), den_new
             else:
                 num += beta * (qy_i + 0.5 * q_ii * beta)
                 den_ref = max(den_ref, den_new)
             den = den_new
         if f_before - num / den < obj_tol:
             break
+    y = np.array(y)
     return QfpSolution(
         y=y, value=q.value(y), alpha_star=None, iterations=sweeps,
         certificate=Certificate.COORDINATE_WISE_MIN,

@@ -8,7 +8,7 @@ a block costs O(k s + s^2), not O(n^2).  The solver enumerates supports of
 size min(q, k) (support monotonicity makes the smaller sizes redundant) and
 solves each restricted quadratic fractional program globally; a
 one-coordinate block is the 1-D program and is solved in closed form
-wherever the route's solver would return the same value.
+wherever the route's solver would return the same value up to rounding.
 
 A support's unconstrained infimum is the smallest eigenvalue of its
 bordered pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]]) (Golub, "Some
@@ -18,7 +18,9 @@ support from below, lower bound or not, so supports are ranked by it
 (qfp.pencil_keys, batched) and only those that can win are solved, by
 solve_bisection (the reference solver) or solve_coordinate_descent.  A
 support the ranking prunes is never solved, so an error its solve would
-raise does not surface.
+raise does not surface.  A block with at most two supports is not
+ranked, because the keys cost more than the solves they could save:
+every support is solved, and an error in any of them surfaces.
 """
 
 from __future__ import annotations
@@ -127,7 +129,13 @@ def _one_coordinate(qfp: QfpSubproblem, bisection: bool):
     infinity lies below the kernel's value: solve_bisection then escapes
     towards infinity.  On the coordinate-descent route the result is
     coordinate descent's first move from y = 0, taken only if it lowers
-    the value below w/v; a second sweep would not move again.
+    the value below w/v.  Coordinate descent's second sweep can still move
+    by an ulp (on 81 of 3,704 1x1 supports of a pca-bounded benchmark run),
+    so the two values agree to 1e-12, not bit for bit.  That is why
+    _ranked solves the two 1x1 supports of a k = 2, q = 1 block with the
+    route's solver, not in closed form: the closed form's points and
+    values differ by ulps, which changed 49 of 100 pca-bounded
+    trajectories (seeds 0-4).
     """
     Q, p, R, c, w, v = (
         float(qfp.Q[0, 0]), float(qfp.p[0]), float(qfp.R[0, 0]), float(qfp.c[0]), qfp.w, qfp.v,
@@ -151,8 +159,8 @@ def _one_coordinate(qfp: QfpSubproblem, bisection: bool):
 def _restrict(qfp: QfpSubproblem, support) -> QfpSubproblem:
     idx = np.asarray(support, dtype=int)
     return QfpSubproblem(
-        Q=qfp.Q[np.ix_(idx, idx)], p=qfp.p[idx], w=qfp.w,
-        R=qfp.R[np.ix_(idx, idx)], c=qfp.c[idx], v=qfp.v, lower_bound=qfp.lower_bound,
+        Q=qfp.Q[idx][:, idx], p=qfp.p[idx], w=qfp.w,
+        R=qfp.R[idx][:, idx], c=qfp.c[idx], v=qfp.v, lower_bound=qfp.lower_bound,
     )
 
 
@@ -169,15 +177,17 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     coordinate descent.  Supports are therefore solved in key order until
     the next key exceeds the best value found by more than RANK_BAND, and
     the first support with the smallest value wins, as in a loop over all
-    supports that skips a nan value.  A lone support is solved directly.
+    supports that skips a nan value.  A block with at most two supports
+    gets no keys: all its supports are solved, in combination order, so
+    an error in any of them surfaces.
     """
     total = math.comb(qfp.dim, q)
     supports = np.fromiter(
         chain.from_iterable(combinations(range(qfp.dim), q)), dtype=np.intp, count=total * q,
     ).reshape(total, q)
-    if total == 1:
-        return supports[0], solve(_restrict(qfp, supports[0]))
-    keys = np.concatenate([
+    # On one or two supports the keys cost more than they can save (polish's
+    # k = 2, q = 1 swap blocks): rank none, so that every support is solved.
+    keys = np.full(total, np.nan) if total <= 2 else np.concatenate([
         _pencil_keys(qfp, supports[start:start + RANK_CHUNK])
         for start in range(0, total, RANK_CHUNK)
     ])

@@ -1,20 +1,24 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgevp import linalg
-from sgevp.errors import NonPositiveGamma
-from sgevp.fractional1d import OneDimCoefficients, solve_1d
+from sgevp.errors import DegenerateDenominator, NonPositiveGamma, SgevpError, UnboundedBelow
+from sgevp.fractional1d import OneDimCoefficients, solve_1d, solve_1d_core
 from sgevp.qfp import (
+    _SHRUNK,
     Certificate,
     QfpSubproblem,
     assemble_reduced,
     default_bisection_tol,
     j_alpha,
+    _cd_start,
     projected_gradient,
     solve_bisection,
     solve_coordinate_descent,
@@ -237,11 +241,11 @@ def test_cd_does_not_step_onto_an_overflowing_denominator():
 
 
 @st.composite
-def cd_cases(draw):
-    """A QFP of m <= 6 coordinates with R SPD, a denominator that is
-    positive away from y = 0 (gamma >= 0; gamma = 0 when c = 0 and v = 0)
-    and a lower bound of None, 0 or -1."""
-    m = draw(st.integers(1, 6))
+def cd_cases(draw, sizes=st.integers(1, 6)):
+    """A QFP of m coordinates, m drawn from sizes, with R SPD, a denominator
+    that is positive away from y = 0 (gamma >= 0; gamma = 0 when c = 0 and
+    v = 0) and a lower bound of None, 0 or -1."""
+    m = draw(sizes)
     entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
     M = draw(arrays(float, (m, m), elements=entries))
     G = draw(arrays(float, (m, m), elements=st.floats(-4.0, 4.0)))
@@ -269,6 +273,157 @@ def test_cd_value_is_the_value_of_its_point(q):
     assert sol.value == q.value(sol.y)
     if q.lower_bound is not None:
         assert np.all(sol.y >= q.lower_bound)
+
+
+def cd_by_numpy(q, y0=None, max_sweeps=200, obj_tol=None, paths=None):
+    """solve_coordinate_descent's loop as it was written on numpy arrays: a
+    numpy scalar read per coordinate and two vector updates per move.
+    Returns (y, value, sweeps); paths, a Counter, counts the moves each
+    skip path and the exact re-evaluation took."""
+    paths = Counter() if paths is None else paths
+    m = q.dim
+    lb = q.lower_bound
+    if y0 is not None:
+        paths["given y0"] += 1
+    elif q.denominator(np.zeros(m) if lb is None or lb <= 0.0 else np.full(m, lb)) <= 0.0:
+        paths["eigenvector start"] += 1
+    y = _cd_start(q) if y0 is None else np.array(y0, dtype=float)
+    if lb is not None and np.any(y < lb - 1e-12):
+        raise ValueError("y0 violates the lower bound")
+    den = q.denominator(y)
+    if den <= 0:
+        raise DegenerateDenominator(f"denominator {den:.6g} at start")
+    num = q.numerator(y)
+    if obj_tol is None:
+        obj_tol = 1e-12 * (1.0 + abs(num / den))
+    Qy = q.Q @ y + q.p
+    Ry = q.R @ y + q.c
+    den_ref = den
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        f_before = num / den
+        for i in range(m):
+            lower = -math.inf if lb is None else lb - float(y[i])
+            q_ii, r_ii, qy_i, ry_i = float(q.Q[i, i]), float(q.R[i, i]), float(Qy[i]), float(Ry[i])
+            try:
+                beta, val = solve_1d_core(q_ii, qy_i, num, r_ii, ry_i, den, lower)
+            except (UnboundedBelow, DegenerateDenominator) as error:
+                paths[type(error).__name__] += 1
+                continue
+            if beta == 0.0 or val >= num / den:
+                continue
+            den_new = den + beta * (ry_i + 0.5 * r_ii * beta)
+            exact = den_new < _SHRUNK * den_ref
+            y_i = y[i]
+            y[i] += beta
+            if exact:
+                paths["exact"] += 1
+                den_new = q.denominator(y)
+            if not 0.0 < den_new < math.inf:
+                paths["zero denominator" if den_new <= 0.0 else "overflow"] += 1
+                y[i] = y_i
+                continue
+            Qy += beta * q.Q[:, i]
+            Ry += beta * q.R[:, i]
+            if exact:
+                num, den_ref = q.numerator(y), den_new
+            else:
+                num += beta * (qy_i + 0.5 * q_ii * beta)
+                den_ref = max(den_ref, den_new)
+            den = den_new
+        if f_before - num / den < obj_tol:
+            break
+    return y, q.value(y), sweeps
+
+
+def check_cd_matches_numpy(q, y0=None, max_sweeps=200):
+    """solve_coordinate_descent equals cd_by_numpy bit for bit, or raises
+    the error it raises; RuntimeWarnings are errors.  Returns the paths."""
+    paths = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            y, value, sweeps = cd_by_numpy(q, y0, max_sweeps, paths=paths)
+        except SgevpError as error:
+            with pytest.raises(type(error)):
+                solve_coordinate_descent(q, y0=y0, max_sweeps=max_sweeps)
+            paths[f"raises {type(error).__name__}"] += 1
+            return paths
+        sol = solve_coordinate_descent(q, y0=y0, max_sweeps=max_sweeps)
+    assert sol.y.dtype == y.dtype and sol.y.tobytes() == y.tobytes()
+    assert sol.value == value
+    assert sol.iterations == sweeps
+    if sweeps == max_sweeps:
+        paths["max_sweeps"] += 1
+    return paths
+
+
+def cd_qfp(Q, p, w, R, c, v, lower_bound=None):
+    return QfpSubproblem(
+        Q=np.array(Q, dtype=float), p=np.array(p, dtype=float), w=w,
+        R=np.array(R, dtype=float), c=np.array(c, dtype=float), v=v, lower_bound=lower_bound,
+    )
+
+
+TINY = 5.6e-309
+# One QFP per path of the loop (found by a random search over small integer
+# QFPs, except the overflow QFP of the test above), with its start.
+CD_PATHS = {
+    "eigenvector start": (cd_qfp([[-1.0]], [3.0], -3.0, [[1.5]], [0.0], 0.0, 0.0), None),
+    "exact": (cd_qfp([[-1.0]], [3.0], -3.0, [[1.5]], [0.0], 0.0, 0.0), None),
+    "UnboundedBelow": (cd_qfp([[3.0]], [3.0], 0.0, [[1.5]], [0.0], 0.0, 0.0), None),
+    "DegenerateDenominator": (cd_qfp([[2.0]], [2.0], -1.0, [[0.5]], [0.0], 0.0), None),
+    "zero denominator": (cd_qfp(
+        [[-2.0, 0.5], [0.5, -3.0]], [-1.0, 0.0], -1.0, [[3.0, -1.0], [-1.0, 4.5]],
+        [0.0, 0.0], 0.0, 0.0,
+    ), None),
+    "overflow": (cd_qfp(
+        [[1e-5, TINY], [TINY, 1e-5]], [0.0, 0.0], 2e-5, np.eye(2) / 2, [0.0, 0.0], 0.0,
+    ), None),
+    # A move lands exactly on y = 0, where the O(1) denominator reads 6e-33:
+    # both loops return y = 0 and raise on its value (see CHANGES.md).
+    "raises DegenerateDenominator": (cd_qfp(
+        [[-1.0, -1.5], [-1.5, -3.0]], [3.0, 3.0], -2.0, [[3.0, -3.0], [-3.0, 4.5]],
+        [0.0, 0.0], 0.0, 0.0,
+    ), None),
+    # The unbounded infimum lies at infinity: the sweeps never settle.
+    "max_sweeps": (cd_qfp(
+        [[-2.0, 0.5], [0.5, 3.0]], [2.0, -2.0], 1.0, [[2.5, 2.0], [2.0, 2.5]],
+        [-2.0, 0.0], 3.2222222222222223,
+    ), None),
+    "given y0": (cd_qfp(
+        [[-2.0, 0.5], [0.5, -3.0]], [-1.0, 0.0], -1.0, [[3.0, -1.0], [-1.0, 4.5]],
+        [1.0, 0.0], 2.0, 0.0,
+    ), np.array([0.5, 2.0])),
+}
+
+
+@pytest.mark.parametrize("path", list(CD_PATHS))
+def test_cd_equals_the_numpy_loop_on_each_path(path):
+    q, y0 = CD_PATHS[path]
+    paths = check_cd_matches_numpy(q, y0)
+    assert paths[path] > 0
+
+
+@st.composite
+def cd_oracle_cases(draw):
+    """(qfp, y0): m <= 8, and a start y0 above the bound with a positive
+    denominator, or None (the start _cd_start picks)."""
+    q = draw(cd_cases(sizes=st.integers(1, 8)))
+    if not draw(st.booleans()):
+        return q, None
+    low = -4.0 if q.lower_bound is None else q.lower_bound
+    y0 = draw(arrays(float, q.dim, elements=st.floats(low, 4.0)))
+    return q, y0 if q.denominator(y0) > 0 else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cd_oracle_cases())
+@example(CD_PATHS["max_sweeps"])
+def test_cd_equals_the_numpy_loop(case):
+    # The loop on Python floats rounds every operation as the numpy loop
+    # did, so y, the value and the sweep count agree bit for bit.
+    check_cd_matches_numpy(*case)
 
 
 def test_cd_bound_kkt():

@@ -29,7 +29,7 @@ from sgevp.subproblem import (
     solve_exact,
 )
 
-from _util import random_problem, random_spd
+from _util import random_problem, random_qfp, random_spd
 
 
 def brute_force(sub, rng, restarts=5):
@@ -466,6 +466,30 @@ def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
     z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
     assert z.tobytes() == z_loop.tobytes()
     assert value == value_loop
+
+
+@pytest.mark.parametrize("method, lower_bound", [
+    ("bisection", None), ("coordinate-descent", None), ("bisection", 0.0),
+])
+@pytest.mark.parametrize("k, q, keyed", [(2, 1, False), (2, 2, False), (3, 1, True)])
+def test_blocks_of_at_most_two_supports_compute_no_keys(monkeypatch, method, lower_bound, k, q, keyed):
+    # Keys would cost more than they can prune on one or two supports
+    # (polish's swap blocks have k = 2, q = 1): every support is solved, and
+    # the result is the per-support loop's.
+    rng = np.random.default_rng(53)
+    sub = BlockSubproblem(qfp=random_qfp(rng, k, lower_bound=lower_bound), budget=q)
+    calls = []
+
+    def counted(qfp, supports):
+        calls.append(len(supports))
+        return _pencil_keys(qfp, supports)
+
+    monkeypatch.setattr(subproblem, "_pencil_keys", counted)
+    z, value = solve_exact(sub, method)
+    assert calls == ([3] if keyed else [])
+    solve = solve_bisection if method == "bisection" and lower_bound is None else solve_coordinate_descent
+    z_loop, value_loop = exact_by_loop(sub, solve)[:2]
+    assert z.tobytes() == z_loop.tobytes() and value == value_loop
 
 
 def test_ranking_band_covers_keys_rounded_above_the_value():

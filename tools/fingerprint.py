@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Fingerprint the solver's results on the benchmark workloads.
+
+    python3 tools/fingerprint.py --seeds 20 > fingerprint.txt
+    python3 tools/fingerprint.py --seeds 5 --workload pca-bounded
+
+Run from the root of a checkout.  For seeds 0..N-1 of each workload in
+perfbench/workloads.py (imported as is), every instance is solved with
+``sgevp.decomposition.solve`` and certified with
+``certify_block2_stationary(tol=1e-6)``, as the benchmark does, with BLAS
+pinned to one thread.  One line per instance:
+
+    <workload> <seed> <label> <sha1> <stop reason> <certificate>
+
+The SHA-1 covers the bytes of the final x, of the trace arrays
+(objectives, rel_decreases, denominators, step_norms) and of every working
+set.  The certificate is True, False or the name of the error it raised.
+Two checkouts that print the same lines gave bit-identical results; diff
+the outputs to find the instances that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CERT_TOL = 1e-6
+TRACE_ARRAYS = ("objectives", "rel_decreases", "denominators", "step_norms")
+
+
+def digest(trace) -> str:
+    import numpy as np
+
+    h = hashlib.sha1(np.asarray(trace.x, dtype=float).tobytes())
+    for name in TRACE_ARRAYS:
+        values = np.asarray(getattr(trace, name), dtype=float)
+        h.update(f"{name}:{values.size};".encode())
+        h.update(values.tobytes())
+    h.update(f"working_sets:{len(trace.working_sets)};".encode())
+    for ws in trace.working_sets:
+        ws = np.asarray(ws, dtype=np.int64)
+        h.update(f"{ws.size};".encode())
+        h.update(ws.tobytes())
+    return h.hexdigest()
+
+
+def fingerprint(name: str, seed: int):
+    """Yield one output line per instance of workload name at seed."""
+    import workloads
+    from sgevp.decomposition import certify_block2_stationary, solve
+    from sgevp.errors import SgevpError
+
+    for inst in workloads.build(name, seed):
+        try:
+            trace = solve(inst.problem, inst.config)
+        except SgevpError as error:
+            yield f"{name} {seed} {inst.label!r} solve-error {type(error).__name__} -"
+            continue
+        try:
+            cert = str(certify_block2_stationary(inst.problem, trace.x, tol=CERT_TOL))
+        except SgevpError as error:
+            cert = type(error).__name__
+        yield f"{name} {seed} {inst.label!r} {digest(trace)} {trace.reason} {cert}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, default=20, help="fingerprint seeds 0..N-1 (default 20)")
+    parser.add_argument(
+        "--workload", action="append",
+        help="a workload of perfbench/workloads.py; repeat for several (default: all)",
+    )
+    args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    names = args.workload or list(workloads.WORKLOADS)
+    unknown = sorted(set(names) - set(workloads.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload(s): {', '.join(unknown)}")
+    for name in names:
+        for seed in range(args.seeds):
+            for line in fingerprint(name, seed):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

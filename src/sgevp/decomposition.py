@@ -22,7 +22,6 @@ from .problems import ProblemInstance, objective
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
 from .working_set import (
     WorkingSetSelection,
-    descent_matrix,
     select_hybrid,
     select_random,
     support_and_zero,
@@ -351,5 +350,5 @@ def certify_block2_stationary(
         )
         if solve_1d(coeffs).value < f_x - tol:
             return False
-    _, _, D = descent_matrix(problem, x)
+    D = swap_scores(problem, x, Ax, Cx, f_x, S, Z)
     return not np.any(D < -tol)

@@ -125,24 +125,24 @@ def _solve_1d_rowwise(a, b, c, r, s, t) -> np.ndarray:
     disc = theta * theta - 2.0 * pi * iota
     limit = np.where(r > 0, a / np.where(r > 0, r, 1.0), np.inf)
 
-    values = np.full(disc.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sq = np.sqrt(np.maximum(disc, 0.0))
         quad = pi != 0.0
-        for sign in (-1.0, 1.0):
-            beta = np.where(quad, (-theta + sign * sq) / np.where(quad, pi, 1.0), 0.0)
-            lin = (~quad) & (theta != 0.0)
-            beta = np.where(lin, -iota / np.where(lin, theta, 1.0), beta)
-            beta = np.where((~quad) & (theta == 0.0), 0.0, beta)
-            den = 0.5 * r * beta * beta + s * beta + t
-            num = 0.5 * a * beta * beta + b * beta + c
-            # A huge root (pi near 0) overflows beta^2; divide through by it.
-            far = ~(np.isfinite(den) & np.isfinite(num))
-            if np.any(far):
-                den = np.where(far, 0.5 * r + s / beta + t / (beta * beta), den)
-                num = np.where(far, 0.5 * a + b / beta + c / (beta * beta), num)
-            cand = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
-            values = np.minimum(values, cand)
+        # Both roots at once, axis 0 the sign of the square root.
+        sign = np.array([-1.0, 1.0]).reshape((2,) + (1,) * disc.ndim)
+        beta = np.where(quad, (-theta + sign * sq) / np.where(quad, pi, 1.0), 0.0)
+        lin = (~quad) & (theta != 0.0)
+        beta = np.where(lin, -iota / np.where(lin, theta, 1.0), beta)
+        beta = np.where((~quad) & (theta == 0.0), 0.0, beta)
+        den = 0.5 * r * beta * beta + s * beta + t
+        num = 0.5 * a * beta * beta + b * beta + c
+        # A huge root (pi near 0) overflows beta^2; divide through by it.
+        far = ~(np.isfinite(den) & np.isfinite(num))
+        if np.any(far):
+            den = np.where(far, 0.5 * r + s / beta + t / (beta * beta), den)
+            num = np.where(far, 0.5 * a + b / beta + c / (beta * beta), num)
+        cand = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
+        values = np.minimum(cand[0], cand[1])
     values = np.where(disc < 0.0, limit, values)
     return values
 
@@ -157,16 +157,16 @@ def select_swapping(problem, x, k_swap: int) -> WorkingSetSelection:
         raise InsufficientCoordinates(
             f"need {pairs_needed} support and zero coordinates, have {S.size}/{Z.size}"
         )
-    flat = D.ravel()
-    rows, cols = np.divmod(np.arange(flat.size), Z.size)
-    # Stable order by (descent, support index, zero index).
-    order = np.lexsort((Z[cols], S[rows], flat))
+    # Stable order by (descent, support index, zero index): S and Z ascend
+    # and D is row-major, so ties already stand in index order.
+    order = np.argsort(D.ravel(), kind="stable")
     used_i: set[int] = set()
     used_j: set[int] = set()
     chosen: list[tuple[int, int]] = []
     for pos in order:
-        i = int(S[rows[pos]])
-        j = int(Z[cols[pos]])
+        row, col = divmod(int(pos), Z.size)
+        i = int(S[row])
+        j = int(Z[col])
         if i in used_i or j in used_j:
             continue
         chosen.append((i, j))

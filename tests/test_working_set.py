@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgevp.decomposition import ProblemInstance, objective
+from sgevp import working_set
 from sgevp.errors import InsufficientCoordinates, InvalidK
 from sgevp.working_set import (
     Provenance,
@@ -249,6 +250,44 @@ def test_select_swapping_matches_greedy_oracle():
         pairs = list(zip(sel.indices[: k_swap // 2], sel.indices[k_swap // 2 :]))
         assert [(int(i), int(j)) for i, j in pairs] == ref
         assert sel.provenance == [Provenance.SWAP_SUPPORT] * 2 + [Provenance.SWAP_ZERO] * 2
+
+
+@st.composite
+def ranking_cases(draw):
+    """(S, Z, D, pairs): ascending disjoint S and Z, and scores with ties,
+    nan, +-inf and both zeros."""
+    n = draw(st.integers(2, 12))
+    role = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    S, Z = np.flatnonzero(role), np.flatnonzero(~role)
+    pairs = min(S.size, Z.size)
+    if pairs == 0:
+        S, Z, pairs = np.arange(n - 1), np.array([n - 1]), 1
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, 2.0, np.nan, np.inf, -np.inf]),
+        st.floats(-2.0, 2.0, width=16),
+    )
+    D = draw(arrays(float, (S.size, Z.size), elements=entries))
+    return S, Z, D, draw(st.integers(1, pairs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ranking_cases())
+def test_select_swapping_ranks_as_the_three_key_lexsort(case):
+    S, Z, D, pairs = case
+    rows, cols = np.divmod(np.arange(D.size), Z.size)
+    order = np.lexsort((Z[cols], S[rows], D.ravel()))
+    assert np.array_equal(np.argsort(D.ravel(), kind="stable"), order)
+    expected, used_i, used_j = [], set(), set()
+    for pos in order:
+        i, j = int(S[rows[pos]]), int(Z[cols[pos]])
+        if i not in used_i and j not in used_j and len(expected) < pairs:
+            expected.append((i, j))
+            used_i.add(i)
+            used_j.add(j)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(working_set, "descent_matrix", lambda problem, x: (S, Z, D))
+        sel = select_swapping(None, None, 2 * pairs)
+    assert list(zip(sel.indices[:pairs].tolist(), sel.indices[pairs:].tolist())) == expected
 
 
 def test_select_swapping_tie_breaks_lexicographic():

@@ -4,6 +4,11 @@ Each iteration selects a working set (random and/or swapping coordinates),
 solves the proximal block subproblem exactly by combinatorial search, and
 updates the block.  The stopping rule averages the relative decrease over a
 trailing window.  Block-k / block-2 stationarity diagnostics live here too.
+
+No step costs an n x n product: a candidate's objective and its x'Cx come
+from one quadratic_forms call over its support, and that x'Cx serves the
+accept test, the denominator floor and the trace; polish and the
+certificate score swaps from problems.products.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DenominatorCollapse, TooLarge
 from .fractional1d import OneDimCoefficients, solve_1d
-from .problems import ProblemInstance, objective
+from .problems import ProblemInstance, objective, products, quadratic_forms
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
 from .working_set import (
     WorkingSetSelection,
@@ -111,23 +116,33 @@ def relative_decrease(f_old: float, f_new: float) -> float:
     return max(drop / abs(f_old), 0.0)
 
 
-def sufficient_decrease(problem, theta, x_old, f_old, x_new, f_new) -> bool:
+def sufficient_decrease(theta, x_old, f_old, x_new, f_new, den_new) -> bool:
     """Accept test of a step: f_new plus the proximal term
-    theta ||x_new - x_old||^2 / x_new'C x_new must not exceed f_old."""
-    den_new = float(x_new @ problem.C @ x_new)
+    theta ||x_new - x_old||^2 / den_new must not exceed f_old, where den_new
+    is x_new'C x_new."""
     prox = theta * float((x_new - x_old) @ (x_new - x_old)) / den_new
     return f_new + prox <= f_old + 1e-12 * (1.0 + abs(f_old))
 
 
+def _checked_denominator(den: float) -> float:
+    """den, the x'Cx of an iterate, or DenominatorCollapse at the floor."""
+    if den <= DENOMINATOR_FLOOR:
+        raise DenominatorCollapse(f"x'Cx = {den:.6g}")
+    return den
+
+
 def _block_move(problem, x, B, theta, method="bisection"):
-    """x with block B replaced by its exact proximal block solution, and
-    its objective; None where the move collapses x to the zero vector."""
+    """(x_new, f_new, den_new): x with block B replaced by its exact
+    proximal block solution, its objective and its x'Cx, both from one
+    quadratic_forms call over supp(x_new); None where the move collapses x
+    to the zero vector."""
     z, _ = solve_exact(build_block_subproblem(problem, x, B, theta), method=method)
     x_new = x.copy()
     x_new[B] = z
     if not np.any(x_new):
         return None
-    return x_new, objective(problem, x_new)
+    num, den = quadratic_forms(problem, x_new)
+    return x_new, num / den, den
 
 
 def _select_working_set(problem, x, config: DecompositionConfig, rng) -> WorkingSetSelection:
@@ -149,17 +164,11 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
     start = time.perf_counter()
 
     x = initial_point(problem)
-    f = objective(problem, x)
+    num, den = quadratic_forms(problem, x)
+    f = num / den
     trace = SolveTrace()
     trace.objectives.append(f)
-
-    def denominator(vec) -> float:
-        value = float(vec @ problem.C @ vec)
-        if value <= DENOMINATOR_FLOOR:
-            raise DenominatorCollapse(f"x'Cx = {value:.6g}")
-        return value
-
-    denominator(x)
+    _checked_denominator(den)
     reason = "max_iters"
     for t in range(config.max_iters):
         selection = _select_working_set(problem, x, config, rng)
@@ -169,11 +178,11 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
         # may return an improving but insufficient point, which would break
         # the per-step decrease guarantee the certificates rely on.
         step = _block_move(problem, x, B, config.theta, config.subsolver)
-        x_new, f_new = x, f
-        if step is not None and sufficient_decrease(problem, config.theta, x, f, *step):
-            x_new, f_new = step
-        trace.record(x, x_new, f, f_new, denominator(x_new), start, B)
-        x, f = x_new, f_new
+        x_new, f_new, den_new = x, f, den
+        if step is not None and sufficient_decrease(config.theta, x, f, *step):
+            x_new, f_new, den_new = step
+        trace.record(x, x_new, f, f_new, _checked_denominator(den_new), start, B)
+        x, f, den = x_new, f_new, den_new
         window = trace.rel_decreases[-min(t + 1, config.window):]
         if sum(window) / len(window) <= config.epsilon:
             reason = "tolerance"
@@ -183,7 +192,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
             break
 
     if config.swap_count >= 2:
-        x, f, out_of_time = _polish(problem, config, x, f, trace, start, denominator)
+        x, f, out_of_time = _polish(problem, config, x, f, trace, start)
         if out_of_time:
             reason = "time_limit"
     trace.x = x
@@ -191,7 +200,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
     return trace
 
 
-def _polish(problem, config, x, f, trace, start, denominator):
+def _polish(problem, config, x, f, trace, start):
     """Drive the iterate to a block-2 stationary point after the stopping
     rule fires.
 
@@ -218,9 +227,9 @@ def _polish(problem, config, x, f, trace, start, denominator):
         step = _block_move(problem, x, B, config.theta, config.subsolver)
         if step is None:
             return None
-        x_new, f_new = step
-        if f_new < f - tol and sufficient_decrease(problem, config.theta, x, f, x_new, f_new):
-            trace.record(x, x_new, f, f_new, denominator(x_new), start, B)
+        x_new, f_new, den_new = step
+        if f_new < f - tol and sufficient_decrease(config.theta, x, f, x_new, f_new, den_new):
+            trace.record(x, x_new, f, f_new, _checked_denominator(den_new), start, B)
             return x_new, f_new
         return None
 
@@ -237,7 +246,7 @@ def _polish(problem, config, x, f, trace, start, denominator):
         # of the sweep, all scored in one pass; the scores go stale only on
         # an accepted move, which rescores this row and the rows after it.
         S, Z = support_and_zero(x)
-        D = swap_scores(problem, x, problem.A @ x, problem.C @ x, f, S, Z)
+        D = swap_scores(problem, x, *products(problem, x), f, S, Z)
         for a, i in enumerate(S):
             col = -1
             # The next improving pair of this row, read from the current scores.
@@ -252,7 +261,7 @@ def _polish(problem, config, x, f, trace, start, denominator):
                 if step is not None:
                     x, f = step
                     moved = True
-                    D[a:] = swap_scores(problem, x, problem.A @ x, problem.C @ x, f, S[a:], Z)
+                    D[a:] = swap_scores(problem, x, *products(problem, x), f, S[a:], Z)
         if not moved:
             break
     return x, f, False
@@ -286,7 +295,7 @@ def refine_block_k(
         for block in combinations(range(n), k):
             step = _block_move(problem, x, np.asarray(block, dtype=int), theta)
             if step is not None and step[1] < f - tol:
-                x, f = step
+                x, f, _ = step
                 moved = True
         if not moved:
             break
@@ -336,8 +345,7 @@ def certify_block2_stationary(
     """
     x = np.asarray(x, dtype=float)
     f_x = objective(problem, x)
-    Ax = problem.A @ x
-    Cx = problem.C @ x
+    Ax, Cx = products(problem, x)
     S, Z = support_and_zero(x)
     # On a one-coordinate support every 1-D move stays on the axis, where the
     # ratio is constant; solve_1d would evaluate it at the 0/0 of x_i + beta

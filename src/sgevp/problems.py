@@ -4,6 +4,10 @@ synthetic data and loaders.
 Covariances use the 1/(m-1) normalization with mean centering.  FDA and
 CCA denominators get a small trace-scaled ridge so the strict positive
 definiteness requirement holds.
+
+The solver's iterates have at most s nonzeros, so every product with one
+reads only its support S: quadratic_forms and objective the S x S entries
+of A and C, products the S columns.
 """
 
 from __future__ import annotations
@@ -63,11 +67,30 @@ class ProblemInstance:
         return self.A.shape[0]
 
 
-def objective(problem: ProblemInstance, x: np.ndarray) -> float:
+def quadratic_forms(problem: ProblemInstance, x: np.ndarray) -> tuple[float, float]:
+    """(x'Ax, x'Cx), summed over S = supp(x) only: O(|S|^2), not O(n^2)."""
     x = np.asarray(x, dtype=float)
-    if not np.any(x):
+    S = np.flatnonzero(x)
+    if S.size == 0:
         raise ZeroVector("objective undefined at x = 0")
-    return float(x @ problem.A @ x) / float(x @ problem.C @ x)
+    x_S = x[S]
+    rows = S[:, None]
+    return float(x_S @ problem.A[rows, S] @ x_S), float(x_S @ problem.C[rows, S] @ x_S)
+
+
+def objective(problem: ProblemInstance, x: np.ndarray) -> float:
+    """x'Ax / x'Cx, the ratio of quadratic_forms.  The solver divides the
+    same two forms, so the objectives it records equal this bit for bit."""
+    num, den = quadratic_forms(problem, x)
+    return num / den
+
+
+def products(problem: ProblemInstance, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A@x, C@x) from the columns of S = supp(x) only: O(n |S|)."""
+    x = np.asarray(x, dtype=float)
+    S = np.flatnonzero(x)
+    x_S = x[S]
+    return problem.A[:, S] @ x_S, problem.C[:, S] @ x_S
 
 
 @dataclass

@@ -4,9 +4,10 @@ The swapping strategy scores every (support i, zero j) pair by the exact
 objective descent achievable when i leaves the support and j enters with
 its optimal coefficient, then greedily takes the best nonoverlapping
 pairs.  One batched kernel (swap_scores) scores rows I against columns J
-in a single pass, from rank-one corrections of the precomputed products
-A@x and C@x; selection, polish and the block-2 certificate all score swaps
-with it.  swap_descent is the explicit per-pair reference.
+in a single pass, from rank-one corrections of the products A@x and C@x
+(problems.products, which reads only the support columns); selection,
+polish and the block-2 certificate all score swaps with it.  swap_descent
+is the explicit per-pair reference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientCoordinates, InvalidK, UnboundedBelow
 from .fractional1d import OneDimCoefficients, solve_1d
-from .problems import objective
+from .problems import objective, products
 
 
 class Provenance(enum.Enum):
@@ -108,7 +109,7 @@ def descent_matrix(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     S, Z = support_and_zero(x)
     f_x = objective(problem, x)
-    D = swap_scores(problem, x, problem.A @ x, problem.C @ x, f_x, S, Z)
+    D = swap_scores(problem, x, *products(problem, x), f_x, S, Z)
     return S, Z, D
 
 

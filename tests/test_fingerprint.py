@@ -53,8 +53,11 @@ def test_one_line_per_instance(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8
     for line in lines:
-        name, seed, *label, sha, reason, cert = line.split()
+        name, seed, *label, sha, steps, support, obj, reason, cert = line.split()
         assert (name, seed) == ("pca-enum", "0") and len(sha) == 40
+        assert int(steps) >= 1 and float(obj) < 0.0
+        indices = [int(i) for i in support.split(",")]
+        assert indices == sorted(set(indices)) and 1 <= len(indices) <= 12
         assert reason in ("tolerance", "max_iters", "time_limit")
         assert cert in ("True", "False") or cert.isidentifier()
 

@@ -1,7 +1,11 @@
+import copy
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgevp.decomposition import ProblemInstance
 from sgevp.errors import (
@@ -12,6 +16,7 @@ from sgevp.errors import (
     NonFinite,
     ParseError,
     SingleClass,
+    ZeroVector,
 )
 from sgevp.problems import (
     Dataset,
@@ -22,6 +27,9 @@ from sgevp.problems import (
     gen_randn,
     load_csv,
     load_libsvm,
+    objective,
+    products,
+    quadratic_forms,
 )
 
 
@@ -223,3 +231,57 @@ def test_dataset_checksum(tmp_path):
     payload = b"f0\n1.0\n2.0\n"
     p.write_bytes(payload)
     assert dataset_checksum(p) == hashlib.sha256(payload).hexdigest()
+
+
+def summation_bound(M, x):
+    """Rounding bound of the entries of M @ x in any summation order."""
+    return 4.0 * x.size * np.finfo(float).eps * (np.abs(M) @ np.abs(x))
+
+
+@pytest.mark.parametrize("n, k", [(6, 1), (12, 3), (50, 6), (400, 4)])
+def test_forms_and_products_read_only_the_support(n, k):
+    rng = np.random.default_rng(n + k)
+    M, G = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    problem = ProblemInstance(A=M + M.T, C=G @ G.T / n + np.eye(n), s=k)
+    x = np.zeros(n)
+    x[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+    inside = x != 0.0
+    A, C = problem.A, problem.C
+    # The forms read the S x S entries: every other entry is nan.
+    poisoned = copy.copy(problem)
+    poisoned.A = np.where(np.outer(inside, inside), A, np.nan)
+    poisoned.C = np.where(np.outer(inside, inside), C, np.nan)
+    num, den = quadratic_forms(poisoned, x)
+    assert abs(num - x @ A @ x) <= np.abs(x) @ summation_bound(A, x)
+    assert abs(den - x @ C @ x) <= np.abs(x) @ summation_bound(C, x)
+    assert objective(poisoned, x) == num / den
+    # The products read every row of the S columns: the other columns are nan.
+    poisoned.A = np.where(inside, A, np.nan)
+    poisoned.C = np.where(inside, C, np.nan)
+    Ax, Cx = products(poisoned, x)
+    assert np.all(np.abs(Ax - A @ x) <= summation_bound(A, x))
+    assert np.all(np.abs(Cx - C @ x) <= summation_bound(C, x))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_forms_and_products_equal_the_dense_ones(data):
+    n = data.draw(st.integers(1, 10))
+    M = data.draw(arrays(float, (n, n), elements=st.floats(-1e3, 1e3)))
+    G = data.draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0)))
+    problem = ProblemInstance(A=M + M.T, C=G @ G.T + np.eye(n), s=n)
+    magnitudes = st.floats(1e-3, 1e3)
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), magnitudes, magnitudes.map(lambda v: -v))
+    x = data.draw(arrays(float, n, elements=entries))
+    A, C = problem.A, problem.C
+    Ax, Cx = products(problem, x)
+    assert np.all(np.abs(Ax - A @ x) <= summation_bound(A, x))
+    assert np.all(np.abs(Cx - C @ x) <= summation_bound(C, x))
+    if not np.any(x):
+        with pytest.raises(ZeroVector):
+            quadratic_forms(problem, x)
+        return
+    num, den = quadratic_forms(problem, x)
+    assert abs(num - x @ A @ x) <= np.abs(x) @ summation_bound(A, x)
+    assert abs(den - x @ C @ x) <= np.abs(x) @ summation_bound(C, x)
+    assert objective(problem, x) == num / den

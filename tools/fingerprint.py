@@ -10,13 +10,18 @@ perfbench/workloads.py (imported as is), every instance is solved with
 ``certify_block2_stationary(tol=1e-6)``, as the benchmark does, with BLAS
 pinned to one thread.  One line per instance:
 
-    <workload> <seed> <label> <sha1> <stop reason> <certificate>
+    <workload> <seed> <label> <sha1> <steps> <support> <objective> <stop reason> <certificate>
 
 The SHA-1 covers the bytes of the final x, of the trace arrays
 (objectives, rel_decreases, denominators, step_norms) and of every working
-set.  The certificate is True, False or the name of the error it raised.
-Two checkouts that print the same lines gave bit-identical results; diff
-the outputs to find the instances that differ.
+set.  <steps> is the trace length (trace.iterations), <support> the
+comma-separated indices of the final x's nonzeros and <objective> the repr
+of the final objective.  The certificate is True, False or the name of the
+error it raised.  Two checkouts that print the same lines gave
+bit-identical results; diff the outputs to find the instances that differ.
+Where the digests differ only because sums round differently, equal
+supports, steps, stop reasons and certificates with nearby objectives say
+that the runs took the same path.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ def digest(trace) -> str:
 
 def fingerprint(name: str, seed: int):
     """Yield one output line per instance of workload name at seed."""
+    import numpy as np
     import workloads
     from sgevp.decomposition import certify_block2_stationary, solve
     from sgevp.errors import SgevpError
@@ -58,13 +64,17 @@ def fingerprint(name: str, seed: int):
         try:
             trace = solve(inst.problem, inst.config)
         except SgevpError as error:
-            yield f"{name} {seed} {inst.label!r} solve-error {type(error).__name__} -"
+            yield f"{name} {seed} {inst.label!r} solve-error - - - {type(error).__name__} -"
             continue
         try:
             cert = str(certify_block2_stationary(inst.problem, trace.x, tol=CERT_TOL))
         except SgevpError as error:
             cert = type(error).__name__
-        yield f"{name} {seed} {inst.label!r} {digest(trace)} {trace.reason} {cert}"
+        support = ",".join(str(i) for i in np.flatnonzero(trace.x))
+        yield (
+            f"{name} {seed} {inst.label!r} {digest(trace)} {trace.iterations} {support} "
+            f"{trace.final_objective!r} {trace.reason} {cert}"
+        )
 
 
 def main(argv=None) -> int:

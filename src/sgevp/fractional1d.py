@@ -136,3 +136,31 @@ def solve_1d_core(
         ):
             best_beta, best_value = beta, value
     return best_beta, best_value
+
+
+def infimum_positive(a: float, b: float, c: float, r: float, s: float, t: float) -> float:
+    """Infimum of psi over beta > 0, or -inf where it cannot be trusted.
+
+    It is the smaller of the limit a/r at infinity and the better clamped
+    stationary point of solve_1d_core with lower = 0; with the value at 0,
+    psi(0) = c/t, it is the infimum over [0, inf).  That needs a
+    denominator positive on [0, inf) (t > 0, and s >= 0 or s^2 < 2 r t).
+    With t = 0 and s = 0 (a block with x_N = 0) and c > 0, psi tends to
+    +inf at 0 and, in z = 1/beta, is a/r + 2 (b z + c z^2) / r, whose
+    minimum over z > 0 is a/r - b^2 / (2 c r) where b < 0.
+    """
+    if not r > 0.0:
+        return -math.inf
+    if t > 0.0 and (s >= 0.0 or s * s < 2.0 * r * t):
+        try:
+            value = solve_1d_core(a, b, c, r, s, t, 0.0)[1]
+        except UnboundedBelow:  # no stationary point: the infimum is at 0 or at infinity
+            value = math.inf
+        except DegenerateDenominator:
+            return -math.inf
+        value = min(value, a / r)
+    elif t == 0.0 and s == 0.0 and c > 0.0:
+        value = a / r - (b * b / (2.0 * c * r) if b < 0.0 else 0.0)
+    else:
+        return -math.inf
+    return value if not math.isnan(value) else -math.inf

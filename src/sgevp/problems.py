@@ -22,6 +22,7 @@ from . import linalg
 from .errors import (
     ConfigError,
     DegenerateData,
+    DenominatorCollapse,
     DimensionMismatch,
     EmptyFile,
     NonFinite,
@@ -68,14 +69,22 @@ class ProblemInstance:
 
 
 def quadratic_forms(problem: ProblemInstance, x: np.ndarray) -> tuple[float, float]:
-    """(x'Ax, x'Cx), summed over S = supp(x) only: O(|S|^2), not O(n^2)."""
+    """(x'Ax, x'Cx), summed over S = supp(x) only: O(|S|^2), not O(n^2).
+
+    Raises ZeroVector at x = 0, and DenominatorCollapse where x is nonzero
+    but x'Cx rounds to 0 or below (entries near the underflow threshold),
+    so that no ratio of the two divides by 0.
+    """
     x = np.asarray(x, dtype=float)
     S = np.flatnonzero(x)
     if S.size == 0:
         raise ZeroVector("objective undefined at x = 0")
     x_S = x[S]
     rows = S[:, None]
-    return float(x_S @ problem.A[rows, S] @ x_S), float(x_S @ problem.C[rows, S] @ x_S)
+    num, den = float(x_S @ problem.A[rows, S] @ x_S), float(x_S @ problem.C[rows, S] @ x_S)
+    if not den > 0.0:
+        raise DenominatorCollapse(f"x'Cx = {den:.6g} at a nonzero x")
+    return num, den
 
 
 def objective(problem: ProblemInstance, x: np.ndarray) -> float:

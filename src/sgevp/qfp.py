@@ -15,7 +15,8 @@ Two routes:
   coordinate-wise minimum.  Each move updates the numerator, denominator
   and gradients in O(m), on Python floats.
 
-``assemble_reduced`` and the batched support ranking ``pencil_keys`` share
+``assemble_reduced``, the batched support ranking ``pencil_keys`` and the
+face infima over y >= 0 that rank bounded supports, ``face_infima``, share
 one stacked change of variables, ``_whiten``.
 """
 
@@ -152,23 +153,109 @@ def pencil_keys(Q, p, w: float, R, c, v: float) -> np.ndarray:
     factorizations are left to solve_bisection.
     """
     keys = np.full(len(Q), np.nan)
-    scale = 1.0 + abs(2.0 * v)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             _, O, g, gamma, delta = _whiten(Q, p, w, R, c, v)
-            b = gamma > GAMMA_FLOOR * scale
+            b, z = _pencil_cases(O, gamma, delta, v)
             if b.any():
                 keys[b] = np.linalg.eigvalsh(_bordered_z(O[b], g[b], gamma[b], delta[b]))[:, 0]
-            slack = _GAMMA_SLACK * scale
-            z = np.abs(gamma) <= slack
             if z.any():  # x_N = 0 somewhere; most stacks have none
-                z &= delta > np.maximum(slack, _homogeneous_tol(O))
-                gz = g[z][:, :, None]
-                rank_one = gz * gz.transpose(0, 2, 1) / delta[z][:, None, None]
-                keys[z] = np.linalg.eigvalsh(O[z] - rank_one)[:, 0]
+                keys[z] = np.linalg.eigvalsh(_secular_matrix(O[z], g[z], delta[z]))[:, 0]
         except np.linalg.LinAlgError:
             keys[:] = np.nan
     return keys
+
+
+def _pencil_cases(O, gamma, delta, v: float):
+    """Masks of the stacked QFPs whose pencil pencil_keys reads: gamma above
+    GAMMA_FLOOR (Z), and gamma == 0 with delta clear of 0 (O - g g'/delta)."""
+    scale = 1.0 + abs(2.0 * v)
+    slack = _GAMMA_SLACK * scale
+    homogeneous = np.abs(gamma) <= slack
+    if homogeneous.any():
+        homogeneous &= delta > np.maximum(slack, _homogeneous_tol(O))
+    return gamma > GAMMA_FLOOR * scale, homogeneous
+
+
+def _secular_matrix(O, g, delta):
+    """Stacked O - g g'/delta, whose eigenvalues are the gamma == 0 critical values."""
+    g = g[:, :, None]
+    return O - g * g.transpose(0, 2, 1) / delta[:, None, None]
+
+
+def face_infima(Q, p, w: float, R, c, v: float) -> np.ndarray:
+    """Smallest candidate value of each stacked QFP over y > 0 (a face of a
+    support, at least two coordinates), or -inf where the candidates cannot
+    be trusted.  Over the faces of a support, the smallest of these values
+    and of its empty and one-coordinate faces is the infimum over y >= 0.
+
+    A face's candidates are its critical points with y >= 0 and its
+    directions at infinity d >= 0.  The critical points are the eigenpairs
+    (lambda, [a; b]) of Z with b != 0, at u = a sqrt(gamma) / b, and for
+    gamma == 0 those of O - g g'/delta with g'a != 0, at
+    u = -a delta / g'a; the value there is lambda.  The directions are the
+    generalized eigenvectors of (Q, R), L^{-T} times those of O, and the
+    limit along one is its eigenvalue.  Wherever a decision rests on fewer
+    digits than GAMMA_FLOOR (relative) keeps, the eigenvalue is kept
+    without it: an eigenvalue that repeats, a border b or g'a near 0, a
+    point or direction with entries near 0.  A face that pencil_keys cannot
+    rank, or whose factorization fails, reads -inf.
+    """
+    n, m = p.shape
+    values = np.full(n, -np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            L_inv, O, g, gamma, delta = _whiten(Q, p, w, R, c, v)
+            b, z = _pencil_cases(O, gamma, delta, v)
+            ranked = b | z
+            if not ranked.any():
+                return values
+            L_inv_T = L_inv.transpose(0, 2, 1)
+            shift = L_inv @ c[:, :, None]
+            # u = L'y + L^{-1}c, so a point is y = L^{-T} (u - L^{-1}c).
+            g_nonzero = np.any(g != 0.0, axis=1)
+            finite = np.full(n, np.inf)
+            if b.any():
+                lam, V = np.linalg.eigh(_bordered_z(O[b], g[b], gamma[b], delta[b]))
+                border = V[:, m, :]
+                U = V[:, :m, :] * (np.sqrt(gamma[b])[:, None] / border)[:, None, :]
+                unresolved = (np.abs(border) < GAMMA_FLOOR) & g_nonzero[b][:, None]
+                finite[b] = _critical_minimum(lam, L_inv_T[b] @ (U - shift[b]), unresolved)
+            if z.any():
+                lam, V = np.linalg.eigh(_secular_matrix(O[z], g[z], delta[z]))
+                ga = np.einsum("ni,nij->nj", g[z], V)
+                U = V * (-delta[z][:, None] / ga)[:, None, :]
+                norm_g = np.sqrt(np.sum(g[z] * g[z], axis=1))
+                unresolved = np.abs(ga) < GAMMA_FLOOR * norm_g[:, None]
+                finite[z] = _critical_minimum(lam, L_inv_T[z] @ (U - shift[z]), unresolved)
+            mu, E = np.linalg.eigh(O[ranked])
+            D = L_inv_T[ranked] @ E
+            margin = GAMMA_FLOOR * np.max(np.abs(D), axis=1)[:, None, :]
+            one_signed = np.all(D >= -margin, axis=1) | np.all(D <= margin, axis=1)
+            at_infinity = np.where(one_signed | _repeated(mu), mu, np.inf).min(axis=1)
+            values[ranked] = np.minimum(finite[ranked], at_infinity)
+        except np.linalg.LinAlgError:
+            values[:] = -np.inf
+    values[np.isnan(values)] = -np.inf
+    return values
+
+
+def _repeated(lam):
+    """Which of each row's ascending eigenvalues lie within GAMMA_FLOOR of a
+    neighbour, relative to the row's largest magnitude."""
+    close = np.diff(lam, axis=1) <= GAMMA_FLOOR * np.max(np.abs(lam), axis=1, keepdims=True)
+    repeated = np.zeros(lam.shape, dtype=bool)
+    repeated[:, 1:] |= close
+    repeated[:, :-1] |= close
+    return repeated
+
+
+def _critical_minimum(lam, Y, unresolved):
+    """Smallest eigenvalue lam[:, j] whose point Y[:, :, j] is >= 0, or whose
+    point is not resolved (unresolved, or a repeated eigenvalue)."""
+    margin = GAMMA_FLOOR * np.max(np.abs(Y), axis=1)
+    feasible = np.all(Y >= -margin[:, None, :], axis=1)
+    return np.where(feasible | unresolved | _repeated(lam), lam, np.inf).min(axis=1)
 
 
 class ReducedForm(NamedTuple):
@@ -376,6 +463,8 @@ def solve_coordinate_descent(
     Qy = (q.Q @ y + q.p).tolist()
     Ry = (q.R @ y + q.c).tolist()
     Q_cols, R_cols = q.Q.T.tolist(), q.R.T.tolist()
+    # The last point whose denominator was evaluated exactly, and that value.
+    y_exact, den_exact = y, den
     y = y.tolist()
     den_ref = den
     sweeps = 0
@@ -400,8 +489,8 @@ def solve_coordinate_descent(
             y_i = y[i]
             y[i] += beta
             if exact:
-                y_exact = np.array(y)
-                den_new = q.denominator(y_exact)
+                y_new = np.array(y)
+                den_new = q.denominator(y_new)
             if not 0.0 < den_new < math.inf:
                 # an overflowing step, or a candidate on the denominator's
                 # zero (y = 0 with c = 0 and v = 0) that rounding kept
@@ -411,7 +500,8 @@ def solve_coordinate_descent(
             Qy = [g + beta * col for g, col in zip(Qy, Q_i)]
             Ry = [g + beta * col for g, col in zip(Ry, R_i)]
             if exact:
-                num, den_ref = q.numerator(y_exact), den_new
+                num, den_ref = q.numerator(y_new), den_new
+                y_exact, den_exact = y_new, den_new
             else:
                 num += beta * (qy_i + 0.5 * q_ii * beta)
                 den_ref = max(den_ref, den_new)
@@ -419,7 +509,13 @@ def solve_coordinate_descent(
         if f_before - num / den < obj_tol:
             break
     y = np.array(y)
+    den = q.denominator(y)
+    if not den > 0.0:
+        # A move landed on the denominator's zero (y = 0 with c = 0 and
+        # v = 0) while its O(1) update still read positive: return the last
+        # point whose denominator was evaluated exactly.
+        y, den = y_exact, den_exact
     return QfpSolution(
-        y=y, value=q.value(y), alpha_star=None, iterations=sweeps,
+        y=y, value=q.numerator(y) / den, alpha_star=None, iterations=sweeps,
         certificate=Certificate.COORDINATE_WISE_MIN,
     )

@@ -16,11 +16,29 @@ modified matrix eigenvalue problems", SIAM Rev. 1973): the lambda_min(Z)
 that solve_bisection brackets.  It bounds every solver's value on that
 support from below, lower bound or not, so supports are ranked by it
 (qfp.pencil_keys, batched) and only those that can win are solved, by
-solve_bisection (the reference solver) or solve_coordinate_descent.  A
-support the ranking prunes is never solved, so an error its solve would
-raise does not surface.  A block with at most two supports is not
-ranked, because the keys cost more than the solves they could save:
-every support is solved, and an error in any of them surfaces.
+solve_bisection (the reference solver) or solve_coordinate_descent.
+
+Which bound ranks which route: bisection, and coordinate descent without
+a lower bound, use the pencil key.  Coordinate descent with
+lower_bound == 0 uses the infimum over y >= 0 on the support: the smallest
+infimum over its faces, the sub-supports with every other entry at 0,
+empty face included.  A face's infimum is its smallest critical value with
+y >= 0 or its smallest limit along a direction d >= 0 at infinity, both
+eigenvalues of the face's whitened pencils (qfp.face_infima), and for one
+coordinate the 1-D program (fractional1d.infimum_positive).  It lies far
+closer to coordinate descent's value than the unconstrained key, so fewer
+supports are solved.  A support of q coordinates has 2^q faces, so only
+supports of at most 8 (one stack of RANK_CHUNK faces) are ranked this way;
+larger ones keep the pencil key.  With lower_bound < 0 a face fixes
+coordinates at the bound, so a block has 3^k faces; that route keeps the
+pencil key.  A bound
+only ranks: the route's solver still solves every support that can win,
+so the winner and its value are those of a loop over all supports.
+
+A support the ranking prunes is never solved, so an error its solve would
+raise does not surface.  A block with at most two supports gets no pencil
+keys, because they cost more than the solves they could save: without a
+lower bound every support is solved, and an error in any of them surfaces.
 """
 
 from __future__ import annotations
@@ -32,8 +50,14 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import DegenerateDenominator, UnboundedBelow
-from .fractional1d import solve_1d_core
-from .qfp import QfpSubproblem, pencil_keys, solve_bisection, solve_coordinate_descent
+from .fractional1d import infimum_positive, solve_1d_core
+from .qfp import (
+    QfpSubproblem,
+    face_infima,
+    pencil_keys,
+    solve_bisection,
+    solve_coordinate_descent,
+)
 
 MAX_BLOCK_SIZE = 20
 # Supports per stacked eigenvalue call.  Bounds memory at the block-size
@@ -168,41 +192,77 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     """(support, solution) of the best size-q support, solved by solve
     (solve_bisection or solve_coordinate_descent).
 
-    Every support is ranked by its pencil key; those the key cannot rank
-    are solved first, in combination order, and ranked by their value.  A
-    key is the support's unconstrained infimum, so no value solve returns
-    lies below it by more than rounding; a value can lie above it, where
+    Every support is ranked by a lower bound on the value solve returns
+    there; supports without one are solved first, in combination order.
+    The rest are solved in bound order until the next bound exceeds the
+    best value found by more than RANK_BAND, and the first support with the
+    smallest value wins, as in a loop over all supports that skips a nan
+    value.  Any lower bound gives that winner; a tighter one solves fewer
+    supports.
+
+    The bound is the pencil key, the support's unconstrained infimum, on
+    the bisection route and on coordinate descent without a lower bound or
+    with lower_bound < 0 (there a face fixes coordinates at the bound, and
+    a block has 3^k faces).  A value can lie above its key: where
     bisection's boundary escape stops short of an infimum approached at
     infinity, and wherever a lower bound or a coordinate-wise minimum stops
-    coordinate descent.  Supports are therefore solved in key order until
-    the next key exceeds the best value found by more than RANK_BAND, and
-    the first support with the smallest value wins, as in a loop over all
-    supports that skips a nan value.  A block with at most two supports
-    gets no keys: all its supports are solved, in combination order, so
-    an error in any of them surfaces.
+    coordinate descent.  With lower_bound == 0 and q <= 8 the bound is the
+    infimum over y >= 0, the smallest face infimum (_orthant_bounds).
+    Faces are computed once one support is solved, and only for the
+    supports whose keys are still within the band; a support whose faces
+    cannot be trusted keeps its key.  A block with at most two supports gets no pencil keys:
+    without a lower bound all its supports are solved, in combination
+    order, so an error in any of them surfaces; with lower_bound == 0 its
+    two one-coordinate supports are ranked by their face infima, scalars.
     """
     total = math.comb(qfp.dim, q)
     supports = np.fromiter(
         chain.from_iterable(combinations(range(qfp.dim), q)), dtype=np.intp, count=total * q,
     ).reshape(total, q)
-    # On one or two supports the keys cost more than they can save (polish's
-    # k = 2, q = 1 swap blocks): rank none, so that every support is solved.
-    keys = np.full(total, np.nan) if total <= 2 else np.concatenate([
-        _pencil_keys(qfp, supports[start:start + RANK_CHUNK])
-        for start in range(0, total, RANK_CHUNK)
-    ])
+    # A support has 2^q faces; beyond one stack of them (q > 8) its faces
+    # cost more than its coordinate-descent solve, and the keys rank alone.
+    orthant = qfp.lower_bound == 0.0 and 1 << q <= RANK_CHUNK
+    # On one or two supports the pencil keys cost more than they can save
+    # (polish's k = 2, q = 1 swap blocks): rank none, or, with a lower bound
+    # of 0, rank two one-coordinate supports by their face infima, scalars.
+    if total > 2:
+        keys = np.concatenate([
+            _pencil_keys(qfp, supports[start:start + RANK_CHUNK])
+            for start in range(0, total, RANK_CHUNK)
+        ])
+    elif orthant and total == 2 and q == 1:
+        empty, single = _small_faces(qfp)
+        keys = np.array([min(empty, single[i]) for i in range(2)])
+    else:
+        keys = np.full(total, np.nan)
     solved = {}
-    for i in np.flatnonzero(~np.isfinite(keys)):
+
+    def solve_support(i):
         solved[i] = solve(_restrict(qfp, supports[i]))
-        keys[i] = solved[i].value
-    # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
-    best_value = min([math.inf, *(sol.value for sol in solved.values())])
-    for i in np.argsort(keys, kind="stable"):
-        if keys[i] > best_value + RANK_BAND * (1.0 + abs(best_value)):
+        # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
+        return min(best_value, solved[i].value)
+
+    def beyond(key):
+        return key > best_value + RANK_BAND * (1.0 + abs(best_value))
+
+    best_value = math.inf
+    for i in np.flatnonzero(~np.isfinite(keys)):
+        best_value = solve_support(i)
+    order = np.argsort(keys, kind="stable")
+    if orthant and total > 2 and len(solved) < total:
+        # The keys decide which supports are left once one value is known;
+        # only those get face infima, and they are solved in that order.
+        if best_value == math.inf:
+            best_value = solve_support(next(i for i in order if i not in solved))
+        left = np.array([i for i in order[~beyond(keys[order])] if i not in solved], dtype=np.intp)
+        if left.size:
+            keys[left] = np.maximum(keys[left], _orthant_bounds(qfp, supports[left]))
+        order = left[np.argsort(keys[left], kind="stable")]
+    for i in order:
+        if beyond(keys[i]):
             break
         if i not in solved:
-            solved[i] = solve(_restrict(qfp, supports[i]))
-            best_value = min(best_value, solved[i].value)
+            best_value = solve_support(i)
     # The first of equal values wins; nan ranks last.
     best = min(sorted(solved), key=lambda i: (math.isnan(solved[i].value), solved[i].value))
     return supports[best], solved[best]
@@ -212,3 +272,59 @@ def _pencil_keys(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
     """qfp.pencil_keys of each support's principal sub-pencil."""
     S, T = supports[:, :, None], supports[:, None, :]
     return pencil_keys(qfp.Q[S, T], qfp.p[supports], qfp.w, qfp.R[S, T], qfp.c[supports], qfp.v)
+
+
+def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
+    """The infimum over y >= 0 on each support (rows of indices) of a block
+    with lower_bound == 0, or -inf where a face cannot be trusted.
+
+    It is the smallest infimum over y > 0 on the support's faces, the
+    sub-supports, empty face included.  The empty face is the point y = 0,
+    with value w/v; a one-coordinate face is the 1-D program
+    (fractional1d.infimum_positive); larger faces are computed stacked per
+    size (qfp.face_infima), only those under the given supports.  A face
+    that cannot be trusted reads -inf, which leaves its supports to their
+    pencil keys.  table[mask] is the smallest face infimum under the face
+    with that bitmask, filled size by size from the faces one smaller:
+    2^k floats, 8 MB at the block-size cap, and at most C(k, size) masks of
+    a size at a time.
+    """
+    k, q = qfp.dim, supports.shape[1]
+    bits = 1 << np.arange(k)
+    table = np.full(1 << k, np.nan)
+    empty, single = _small_faces(qfp)
+    table[0] = empty
+    table[bits] = np.minimum(empty, single)
+    support_masks = bits[supports].sum(axis=1)
+    levels, masks = [], np.unique(support_masks)
+    for size in range(q, 1, -1):
+        levels.append(masks)
+        masks = np.unique(_drop_one(masks, bits, size))
+    for size, masks in enumerate(reversed(levels), start=2):
+        below = table[_drop_one(masks, bits, size)].min(axis=1)
+        for start in range(0, masks.size, RANK_CHUNK):
+            chunk = masks[start:start + RANK_CHUNK]
+            faces = np.nonzero(chunk[:, None] & bits)[1].reshape(-1, size)
+            S, T = faces[:, :, None], faces[:, None, :]
+            infima = face_infima(qfp.Q[S, T], qfp.p[faces], qfp.w, qfp.R[S, T], qfp.c[faces], qfp.v)
+            table[chunk] = np.minimum(infima, below[start:start + RANK_CHUNK])
+    return table[support_masks]
+
+
+def _drop_one(masks: np.ndarray, bits: np.ndarray, size: int) -> np.ndarray:
+    """(len(masks), size): each mask, of size set bits, with one bit cleared."""
+    out = np.empty((masks.size, size), dtype=masks.dtype)
+    for start in range(0, masks.size, RANK_CHUNK):
+        chunk = masks[start:start + RANK_CHUNK, None]
+        out[start:start + RANK_CHUNK] = (chunk ^ bits)[(chunk & bits) != 0].reshape(-1, size)
+    return out
+
+
+def _small_faces(qfp: QfpSubproblem) -> tuple[float, list[float]]:
+    """The empty face's value and each one-coordinate face's infimum."""
+    w, v = qfp.w, qfp.v
+    # y = 0 is a point only where v > 0; with v <= 0 the ratio tends to +inf
+    # towards y = 0 if w > 0 and cannot be bounded otherwise.
+    empty = w / v if v > 0.0 else (math.inf if w > 0.0 else -math.inf)
+    Q, p, R, c = np.diag(qfp.Q).tolist(), qfp.p.tolist(), np.diag(qfp.R).tolist(), qfp.c.tolist()
+    return empty, [infimum_positive(Q[i], p[i], w, R[i], c[i], v) for i in range(qfp.dim)]

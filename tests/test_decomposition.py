@@ -21,7 +21,14 @@ from sgevp.decomposition import (
     relative_decrease,
     solve,
 )
-from sgevp.errors import ConfigError, DegenerateDenominator, SgevpError, TooLarge, ZeroVector
+from sgevp.errors import (
+    ConfigError,
+    DegenerateDenominator,
+    DenominatorCollapse,
+    SgevpError,
+    TooLarge,
+    ZeroVector,
+)
 from sgevp.fractional1d import OneDimCoefficients, solve_1d
 from sgevp.linalg import NotPositiveDefinite
 from sgevp.problems import build_cca, build_fda, build_pca, gen_randn
@@ -467,3 +474,13 @@ def test_bounded_solution_passes_block2_certificate(case):
     assume(config.swap_count >= 2)
     trace = solve(problem, config)
     assert certify_block2_stationary(problem, trace.x, tol=1e-6)
+
+
+def test_block_move_refuses_an_underflowed_denominator(monkeypatch):
+    # A block solution whose x'Cx underflows to 0 used to end in a bare
+    # ZeroDivisionError from the move's own num / den.
+    problem = ProblemInstance(A=np.eye(2), C=np.eye(2), s=1)
+    tiny = np.array([6.3e-172])
+    monkeypatch.setattr(decomposition, "solve_exact", lambda sub, method: (tiny, 0.0))
+    with pytest.raises(DenominatorCollapse):
+        decomposition._block_move(problem, np.array([0.0, 1.0]), np.array([1]), 0.0)

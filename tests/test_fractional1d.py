@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgevp.errors import DegenerateDenominator, UnboundedBelow
 from sgevp.fractional1d import (
     OneDimCoefficients,
+    infimum_positive,
     psi_value,
     solve_1d,
     solve_1d_core,
@@ -216,3 +219,28 @@ def test_huge_stationary_root_is_not_dropped():
     assert value == pytest.approx(1.0, rel=1e-15)
     sol = solve_1d(OneDimCoefficients(a=1.0, b=1e-170, c=2.0, r=1.0, s=2e-170, t=1.0))
     assert (sol.beta, sol.value) == (beta, value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=3),
+    st.integers(1, 3).map(float),
+    st.one_of(
+        st.just((0.0, 0.0)),
+        st.tuples(st.integers(-2, 2).map(float), st.integers(1, 4).map(float)),
+    ),
+)
+def test_infimum_positive_is_the_infimum_over_positive_beta(num, r, den):
+    # A lower bound on psi at every beta > 0, and the infimum: a log grid
+    # out to 1e8 comes within 1e-6 of it.  (s, t) = (0, 0) is a block with
+    # x_N = 0, where psi tends to +inf at 0 (c > 0) or the bound is -inf.
+    a, b, c = num
+    s, t = den
+    value = infimum_positive(a, b, c, r, s, t)
+    if t == 0.0 and c <= 0.0 or t > 0.0 and s < 0.0 and s * s >= 2.0 * r * t:
+        assert value == -math.inf
+        return
+    grid = np.concatenate([np.geomspace(1e-8, 1e8, 20001), np.linspace(1e-3, 10.0, 20001)])
+    psi = (0.5 * a * grid * grid + b * grid + c) / (0.5 * r * grid * grid + s * grid + t)
+    assert value <= psi.min() + 1e-12 * (1.0 + abs(psi.min()))
+    assert value >= psi.min() - 1e-6 * (1.0 + abs(psi.min()))

@@ -11,6 +11,7 @@ from sgevp.decomposition import ProblemInstance
 from sgevp.errors import (
     ConfigError,
     DegenerateData,
+    DenominatorCollapse,
     DimensionMismatch,
     EmptyFile,
     NonFinite,
@@ -285,3 +286,14 @@ def test_forms_and_products_equal_the_dense_ones(data):
     assert abs(num - x @ A @ x) <= np.abs(x) @ summation_bound(A, x)
     assert abs(den - x @ C @ x) <= np.abs(x) @ summation_bound(C, x)
     assert objective(problem, x) == num / den
+
+
+def test_forms_refuse_an_underflowed_denominator():
+    # x is nonzero, but x'Cx = (6.3e-172)^2 underflows to 0; the ratio used
+    # to raise a bare ZeroDivisionError.
+    problem = ProblemInstance(A=np.eye(1), C=np.eye(1), s=1)
+    x = np.array([6.3e-172])
+    with pytest.raises(DenominatorCollapse):
+        quadratic_forms(problem, x)
+    with pytest.raises(DenominatorCollapse):
+        objective(problem, x)

@@ -279,7 +279,8 @@ def cd_by_numpy(q, y0=None, max_sweeps=200, obj_tol=None, paths=None):
     """solve_coordinate_descent's loop as it was written on numpy arrays: a
     numpy scalar read per coordinate and two vector updates per move.
     Returns (y, value, sweeps); paths, a Counter, counts the moves each
-    skip path and the exact re-evaluation took."""
+    skip path and the exact re-evaluation took, and the end on a zero
+    denominator."""
     paths = Counter() if paths is None else paths
     m = q.dim
     lb = q.lower_bound
@@ -299,6 +300,7 @@ def cd_by_numpy(q, y0=None, max_sweeps=200, obj_tol=None, paths=None):
     Qy = q.Q @ y + q.p
     Ry = q.R @ y + q.c
     den_ref = den
+    y_exact, den_exact = y.copy(), den
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         f_before = num / den
@@ -327,13 +329,18 @@ def cd_by_numpy(q, y0=None, max_sweeps=200, obj_tol=None, paths=None):
             Ry += beta * q.R[:, i]
             if exact:
                 num, den_ref = q.numerator(y), den_new
+                y_exact, den_exact = y.copy(), den_new
             else:
                 num += beta * (qy_i + 0.5 * q_ii * beta)
                 den_ref = max(den_ref, den_new)
             den = den_new
         if f_before - num / den < obj_tol:
             break
-    return y, q.value(y), sweeps
+    den = q.denominator(y)
+    if not den > 0.0:
+        paths["zero denominator at the end"] += 1
+        y, den = y_exact, den_exact
+    return y, q.numerator(y) / den, sweeps
 
 
 def check_cd_matches_numpy(q, y0=None, max_sweeps=200):
@@ -381,8 +388,9 @@ CD_PATHS = {
         [[1e-5, TINY], [TINY, 1e-5]], [0.0, 0.0], 2e-5, np.eye(2) / 2, [0.0, 0.0], 0.0,
     ), None),
     # A move lands exactly on y = 0, where the O(1) denominator reads 6e-33:
-    # both loops return y = 0 and raise on its value (see CHANGES.md).
-    "raises DegenerateDenominator": (cd_qfp(
+    # both loops end there and return the last point whose denominator was
+    # evaluated exactly, y = (0, 1.1e-16).
+    "zero denominator at the end": (cd_qfp(
         [[-1.0, -1.5], [-1.5, -3.0]], [3.0, 3.0], -2.0, [[3.0, -3.0], [-3.0, 4.5]],
         [0.0, 0.0], 0.0, 0.0,
     ), None),
@@ -403,6 +411,15 @@ def test_cd_equals_the_numpy_loop_on_each_path(path):
     q, y0 = CD_PATHS[path]
     paths = check_cd_matches_numpy(q, y0)
     assert paths[path] > 0
+
+
+def test_cd_ends_at_a_point_with_an_exact_positive_denominator():
+    # The O(1) update read 6.2e-33 at y = 0, where the denominator is 0; the
+    # solver used to raise DegenerateDenominator from its final value.
+    q = CD_PATHS["zero denominator at the end"][0]
+    sol = solve_coordinate_descent(q)
+    assert q.denominator(sol.y) > 0.0 and np.all(sol.y >= 0.0)
+    assert sol.value == q.value(sol.y)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -16,13 +17,16 @@ from sgevp.qfp import (
     GAMMA_FLOOR,
     QfpSubproblem,
     assemble_reduced,
+    face_infima,
     solve_bisection,
     solve_coordinate_descent,
 )
 from sgevp.subproblem import (
     MAX_BLOCK_SIZE,
     RANK_BAND,
+    RANK_CHUNK,
     BlockSubproblem,
+    _orthant_bounds,
     _pencil_keys,
     _ranked,
     build_block_subproblem,
@@ -362,10 +366,22 @@ def block_cases(draw, lower_bounds=st.none(), sizes=st.integers(2, 10)):
     return build_block_subproblem(problem, x, np.arange(k), theta)
 
 
+def ranking_bounds(qfp, supports):
+    """The bound _ranked ranks each support by: its pencil key, and with
+    lower_bound == 0 and 2^q faces in one stack the larger of the key and
+    its smallest face infimum (the face infimum alone on a block of two
+    one-coordinate supports)."""
+    keys = _pencil_keys(qfp, supports)
+    if qfp.lower_bound != 0.0 or 1 << supports.shape[1] > RANK_CHUNK:
+        return keys
+    faces = _orthant_bounds(qfp, supports)
+    return faces if supports.shape == (2, 1) else np.maximum(keys, faces)
+
+
 def check_ranked_matches_loop(sub, method, solve, strict=True):
     """solve_exact(sub, method) equals exact_by_loop(sub, solve) bit for bit,
-    and no key that ranks a support exceeds the support's value by more than
-    the band: the ranking relies on that.
+    and no bound that ranks a support exceeds the support's value by more
+    than the band: the ranking relies on that.
 
     Strict: if a support's solve raises an SgevpError, solve_exact raises
     the type of the loop's first error; any other error fails.  Otherwise a
@@ -381,7 +397,8 @@ def check_ranked_matches_loop(sub, method, solve, strict=True):
             solve_exact(sub, method)
         return
     q = min(sub.budget, sub.qfp.dim)
-    keys = _pencil_keys(sub.qfp, np.array(list(combinations(range(sub.qfp.dim), q))))
+    supports = np.array(list(combinations(range(sub.qfp.dim), q)))
+    keys = ranking_bounds(sub.qfp, supports)
     ranked = np.isfinite(keys) & np.isfinite(values)
     assert np.all((keys - values)[ranked] <= RANK_BAND * (1.0 + np.abs(values[ranked])))
     try:
@@ -407,8 +424,91 @@ def test_ranked_enumeration_matches_bisection_loop(sub):
 @given(block_cases(lower_bounds=st.sampled_from([None, 0.0, -1.0])))
 def test_ranked_enumeration_matches_coordinate_descent_loop(sub):
     # A key is the unconstrained infimum, so it also bounds coordinate
-    # descent's value from below, with or without the lower bound.
+    # descent's value from below, with or without the lower bound; with
+    # lower_bound = 0 the face infimum over y >= 0 does too.
     check_ranked_matches_loop(sub, "coordinate-descent", solve_coordinate_descent, strict=False)
+
+
+@st.composite
+def orthant_cases(draw):
+    """(block, points): a block of k <= 8 coordinates with lower_bound = 0
+    and a few points y >= 0 of the block.  x_N = 0 (gamma = 0) or not
+    (gamma > 0); A a random symmetric matrix or a multiple of the identity
+    (Q = (a + theta) I: repeated eigenvalues); C the identity, a random SPD
+    matrix or a rank-deficient one plus a 1e-6 ridge."""
+    k = draw(st.integers(1, 8))
+    n = k + draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        A = draw(st.sampled_from([-1.0, -0.25, 0.5])) * np.eye(n)
+    else:
+        entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+        M = draw(arrays(float, (n, n), elements=entries))
+        A = 0.5 * (M + M.T)
+    kind = draw(st.sampled_from(["identity", "spd", "ridge"]))
+    if kind == "identity":
+        C = np.eye(n)
+    else:
+        rank = n if kind == "spd" else draw(st.integers(1, n))
+        G = draw(arrays(float, (n, rank), elements=st.floats(-4.0, 4.0)))
+        C = G @ G.T / n + (0.5 if kind == "spd" else 1e-6) * np.eye(n)
+    q = draw(st.integers(1, k))
+    outside = draw(st.lists(st.integers(k, n - 1), unique=True)) if n > k else []
+    inside = draw(st.lists(
+        st.integers(0, k - 1), min_size=0 if outside else 1, max_size=q, unique=True,
+    ))
+    support = outside + inside
+    x = np.zeros(n)
+    x[support] = draw(arrays(float, len(support), elements=st.sampled_from([0.25, 1.0, 1.5, 3.0])))
+    problem = ProblemInstance(A=A, C=C, s=len(outside) + q, lower_bound=0.0)
+    sub = build_block_subproblem(problem, x, np.arange(k), draw(st.sampled_from([0.0, 1e-5])))
+    scales = st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e6])
+    points = draw(st.lists(arrays(float, k, elements=scales), min_size=1, max_size=4))
+    return sub, points
+
+
+# The ratio (1.5 y^2 + y - 3) / (y^2 / 2 + 2 y + 1) of either coordinate
+# rises from -3 at y = 0 towards 3 and has no stationary point in y >= 0:
+# the infimum is the empty face's w/v, which no one-coordinate face holds.
+# (The denominator vanishes at negative y, so c'R^{-1}c > 2v here.)
+AT_ZERO = BlockSubproblem(qfp=QfpSubproblem(
+    Q=3.0 * np.eye(2), p=np.ones(2), w=-3.0, R=np.eye(2), c=np.full(2, 2.0), v=1.0, lower_bound=0.0,
+), budget=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(orthant_cases())
+@example((AT_ZERO, [np.zeros(2)]))
+def test_face_infimum_bounds_every_value_over_the_orthant(case):
+    # The bound ranking a lower_bound = 0 support is a lower bound on the
+    # ratio over y >= 0 there: on coordinate descent's value and on the
+    # value at any point y >= 0 with a positive denominator.
+    sub, points = case
+    qfp = sub.qfp
+    q = min(sub.budget, qfp.dim)
+    supports = np.array(list(combinations(range(qfp.dim), q)))
+    for bound, support in zip(ranking_bounds(qfp, supports), supports):
+        restricted = restrict(qfp, support)
+        values = []
+        try:
+            values.append(solve_coordinate_descent(restricted).value)
+        except (SgevpError, RuntimeWarning):
+            pass
+        for point in points:
+            y = point[support]
+            if restricted.denominator(y) > 0.0:
+                values.append(restricted.value(y))
+        for value in values:
+            assert not bound > value + RANK_BAND * (1.0 + abs(value)), (support, bound, value)
+
+
+def test_face_infimum_keeps_an_eigenvalue_it_cannot_resolve():
+    # O = Q has eigenvalue -1 twice, on the plane orthogonal to (1, 1, 1),
+    # which holds no direction d >= 0; eigh returns an arbitrary basis of
+    # it.  A repeated eigenvalue's vectors do not decide the sign, so the
+    # face infimum keeps -1, not the next candidate 2 (along (1, 1, 1)).
+    Q = -np.eye(3) + np.ones((3, 3))
+    value = face_infima(Q[None], np.zeros((1, 3)), 1.0, np.eye(3)[None], np.zeros((1, 3)), 0.0)
+    assert value[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def one_coordinate_block(Q, p, w, c, v):
@@ -447,8 +547,9 @@ def test_one_coordinate_block_in_closed_form(sub, method):
 
 def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
     # A bounded block with x_N = 0 (gamma = 0), k = 8 and q = 4 as on a
-    # lower_bound = 0 PCA run: 35 of the 70 supports have keys above the
-    # winner's value and are never solved.
+    # lower_bound = 0 PCA run: 35 of the 70 supports have pencil keys above
+    # the winner's value, and the face infima over y >= 0 leave 2 of the
+    # other 35 to solve.
     problem = dataclasses.replace(build_pca(gen_randn(150, 50, 3)), s=4, lower_bound=0.0)
     x = np.zeros(problem.dim)
     x[[2, 5, 11, 17]] = [0.4, 0.3, 0.2, 0.1]
@@ -462,7 +563,7 @@ def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
 
     monkeypatch.setattr(subproblem, "solve_coordinate_descent", counted)
     z, value = solve_exact(sub)
-    assert len(calls) < 70
+    assert len(calls) <= 2
     z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
     assert z.tobytes() == z_loop.tobytes()
     assert value == value_loop
@@ -603,3 +704,28 @@ def test_ranked_enumeration_at_block_size_cap():
     for _ in range(50):
         other = np.sort(rng.choice(MAX_BLOCK_SIZE, size=10, replace=False))
         assert value <= solve_bisection(restrict(sub.qfp, other)).value
+
+
+def test_face_infima_at_block_size_cap():
+    # k = 20 with lower_bound = 0 and x_N = 0: the face table holds 2^20
+    # entries (8 MB) and faces are computed for the supports the keys leave,
+    # in chunks; the result is the per-support loop's.
+    rng = np.random.default_rng(54)
+    n = MAX_BLOCK_SIZE + 2
+    G = rng.standard_normal((n, n))
+    problem = ProblemInstance(A=-(G @ G.T) / n, C=np.eye(n), s=3, lower_bound=0.0)
+    x = np.zeros(n)
+    x[[0, 3, 7]] = [0.5, 0.25, 1.0]
+    sub = build_block_subproblem(problem, x, np.arange(MAX_BLOCK_SIZE), 1e-5)
+    assert sub.budget == 3 and sub.qfp.v == 0.0
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        z, value = solve_exact(sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5.0
+    assert peak < 64 * 2**20
+    z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
+    assert z.tobytes() == z_loop.tobytes() and value == value_loop

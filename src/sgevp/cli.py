@@ -147,18 +147,8 @@ def trace_to_json(trace, solver: str, args, dataset_name: str, fixed_timing: boo
             "secs": 0.0 if fixed_timing else trace.seconds[t],
             "B": B,
         })
-    config = {
-        "solver": solver,
-        "s": args.s if hasattr(args, "s") else None,
-        "k": getattr(args, "k", None),
-        "random": getattr(args, "random", None),
-        "swap": getattr(args, "swap", None),
-        "theta": getattr(args, "theta", None),
-        "epsilon": getattr(args, "epsilon", None),
-        "window": getattr(args, "window", None),
-        "max_iters": getattr(args, "max_iters", None),
-        "seed": getattr(args, "seed", None),
-    }
+    config = {option: getattr(args, option) for option in _CONFIG_FIELDS}
+    config.update(solver=solver, s=args.s, seed=args.seed)
     return {
         "schema": TRACE_SCHEMA,
         "solver": solver,

@@ -13,7 +13,6 @@ certificate score swaps from problems.products.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -22,7 +21,8 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DenominatorCollapse, TooLarge
-from .fractional1d import OneDimCoefficients, solve_1d
+from .fractional1d import solve_1d  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
+from .fractional1d import solve_1d_values
 from .problems import ProblemInstance, objective, products, quadratic_forms
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
 from .working_set import (
@@ -191,10 +191,9 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
             reason = "time_limit"
             break
 
-    if config.swap_count >= 2:
-        x, f, out_of_time = _polish(problem, config, x, f, trace, start)
-        if out_of_time:
-            reason = "time_limit"
+    x, f, out_of_time = _polish(problem, config, x, f, trace, start)
+    if out_of_time:
+        reason = "time_limit"
     trace.x = x
     trace.reason = reason
     return trace
@@ -348,15 +347,15 @@ def certify_block2_stationary(
     Ax, Cx = products(problem, x)
     S, Z = support_and_zero(x)
     # On a one-coordinate support every 1-D move stays on the axis, where the
-    # ratio is constant; solve_1d would evaluate it at the 0/0 of x_i + beta
-    # = 0, whose rounding reads as a spurious descent.
-    for i in S if S.size > 1 else ():
-        coeffs = OneDimCoefficients(
-            a=float(problem.A[i, i]), b=float(Ax[i]), c=0.5 * float(x @ Ax),
-            r=float(problem.C[i, i]), s=float(Cx[i]), t=0.5 * float(x @ Cx),
-            lower=-math.inf if problem.lower_bound is None else problem.lower_bound - float(x[i]),
+    # ratio is constant; the kernel would evaluate it at the 0/0 of
+    # x_i + beta = 0, whose rounding reads as a spurious descent.
+    if S.size > 1:
+        lower = None if problem.lower_bound is None else problem.lower_bound - x[S]
+        values = solve_1d_values(
+            np.diag(problem.A)[S], Ax[S], 0.5 * float(x @ Ax),
+            np.diag(problem.C)[S], Cx[S], 0.5 * float(x @ Cx), lower,
         )
-        if solve_1d(coeffs).value < f_x - tol:
+        if np.any(values < f_x - tol):
             return False
     D = swap_scores(problem, x, Ax, Cx, f_x, S, Z)
     return not np.any(D < -tol)

@@ -9,13 +9,18 @@ pi/2 b^2 + theta b + iota = 0 with
     iota  = t*b_lin - c*s
 
 and the global minimizer over [lower, inf) is the better of the two
-(clamped) roots.
+(clamped) roots.  This is the only module that forms that quadratic:
+solve_1d_core is the scalar kernel (coordinate descent, one-coordinate
+blocks, face bounds) and solve_1d_values its batched twin (swap scoring
+and the block-2 certificate).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateDenominator, UnboundedBelow
 
@@ -60,34 +65,6 @@ class OneDimCoefficients:
 class OneDimSolution:
     beta: float
     value: float
-
-
-def psi_value(c: OneDimCoefficients, beta: float) -> float:
-    den = c.denominator(beta)
-    if den <= 0:
-        raise DegenerateDenominator(f"denominator {den:.6g} at beta={beta:.6g}")
-    return c.numerator(beta) / den
-
-
-def stationary_candidates(c: OneDimCoefficients) -> list[float]:
-    """Unclamped real stationary points of psi (0, 1 or 2 of them).
-
-    Raises UnboundedBelow when the stationarity quadratic has no real root,
-    which with r > 0 means the infimum a/r is only approached at infinity.
-    """
-    pi = c.a * c.s - c.b * c.r
-    theta = c.a * c.t - c.c * c.r
-    iota = c.t * c.b - c.c * c.s
-    if pi == 0.0:
-        if theta == 0.0:
-            # psi is constant along the stationarity condition; any point works.
-            return [0.0]
-        return [-iota / theta]
-    disc = theta * theta - 2.0 * pi * iota
-    if disc < 0.0:
-        raise UnboundedBelow("no real stationary point; infimum approached at infinity")
-    root = math.sqrt(disc)
-    return [(-theta - root) / pi, (-theta + root) / pi]
 
 
 def solve_1d(c: OneDimCoefficients) -> OneDimSolution:
@@ -136,6 +113,46 @@ def solve_1d_core(
         ):
             best_beta, best_value = beta, value
     return best_beta, best_value
+
+
+def solve_1d_values(a, b, c, r, s, t, lower=None) -> np.ndarray:
+    """Batched solve_1d_core values: the coefficients (and ``lower``)
+    broadcast against each other, one minimum per element.
+
+    Each root is clamped to ``lower`` before evaluation, as in
+    solve_1d_core; lower=None skips the clamp.  Where the scalar kernel
+    raises, a root whose denominator is not positive is ignored, and a
+    negative discriminant gives the a/r limit at infinity (+inf for
+    r <= 0).  Where both roots' values lie within _TIE_TOL of each other,
+    solve_1d_core keeps the smaller beta's and this kernel the smaller
+    value.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pi = a * s - b * r
+        theta = a * t - c * r
+        iota = t * b - c * s
+        disc = theta * theta - 2.0 * pi * iota
+        limit = np.where(r > 0, a / np.where(r > 0, r, 1.0), np.inf)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        quad = pi != 0.0
+        # Both roots at once, axis 0 the sign of the square root.
+        sign = np.array([-1.0, 1.0]).reshape((2,) + (1,) * disc.ndim)
+        beta = np.where(quad, (-theta + sign * sq) / np.where(quad, pi, 1.0), 0.0)
+        lin = (~quad) & (theta != 0.0)
+        beta = np.where(lin, -iota / np.where(lin, theta, 1.0), beta)
+        beta = np.where((~quad) & (theta == 0.0), 0.0, beta)
+        if lower is not None:
+            beta = np.where(beta < lower, lower, beta)
+        den = 0.5 * r * beta * beta + s * beta + t
+        num = 0.5 * a * beta * beta + b * beta + c
+        # A huge root (pi near 0) overflows beta^2; divide through by it.
+        far = ~(np.isfinite(den) & np.isfinite(num))
+        if np.any(far):
+            den = np.where(far, 0.5 * r + s / beta + t / (beta * beta), den)
+            num = np.where(far, 0.5 * a + b / beta + c / (beta * beta), num)
+        cand = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
+        values = np.minimum(cand[0], cand[1])
+    return np.where(disc < 0.0, limit, values)
 
 
 def infimum_positive(a: float, b: float, c: float, r: float, s: float, t: float) -> float:

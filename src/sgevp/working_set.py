@@ -5,9 +5,10 @@ objective descent achievable when i leaves the support and j enters with
 its optimal coefficient, then greedily takes the best nonoverlapping
 pairs.  One batched kernel (swap_scores) scores rows I against columns J
 in a single pass, from rank-one corrections of the products A@x and C@x
-(problems.products, which reads only the support columns); selection,
-polish and the block-2 certificate all score swaps with it.  swap_descent
-is the explicit per-pair reference.
+(problems.products, which reads only the support columns) and the batched
+1-D kernel fractional1d.solve_1d_values; selection, polish and the
+block-2 certificate all score swaps with it.  swap_descent is the
+explicit per-pair reference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientCoordinates, InvalidK, UnboundedBelow
-from .fractional1d import OneDimCoefficients, solve_1d
+from .fractional1d import OneDimCoefficients, solve_1d, solve_1d_values
 from .problems import objective, products
 
 
@@ -90,7 +91,7 @@ def swap_scores(problem, x, Ax, Cx, f_x: float, I, J) -> np.ndarray:
     r = np.diag(C)[J]
     s = Cx[J] - xi * C[:, I][J].T
     t = 0.5 * (float(x @ Cx) - 2.0 * xi * Cx[I][:, None] + xi * xi * C[I, I][:, None])
-    D = _solve_1d_rowwise(a, b, c, r, s, t) - f_x
+    D = solve_1d_values(a, b, c, r, s, t) - f_x
     # v = 0: the support was exactly {i} and the swap lands on a pure axis.
     # v is tested itself because t is then rounding noise of either sign
     # when C_ii x_i^2 is inexact.
@@ -111,41 +112,6 @@ def descent_matrix(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f_x = objective(problem, x)
     D = swap_scores(problem, x, *products(problem, x), f_x, S, Z)
     return S, Z, D
-
-
-def _solve_1d_rowwise(a, b, c, r, s, t) -> np.ndarray:
-    """Vectorized unconstrained 1-D fractional minimum values.
-
-    The coefficients broadcast against each other.  Candidates are the
-    real stationary points; with no real root the value is the a/r limit
-    at infinity.  Mirrors solve_1d / solve_1d_core.
-    """
-    pi = a * s - b * r
-    theta = a * t - c * r
-    iota = t * b - c * s
-    disc = theta * theta - 2.0 * pi * iota
-    limit = np.where(r > 0, a / np.where(r > 0, r, 1.0), np.inf)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        quad = pi != 0.0
-        # Both roots at once, axis 0 the sign of the square root.
-        sign = np.array([-1.0, 1.0]).reshape((2,) + (1,) * disc.ndim)
-        beta = np.where(quad, (-theta + sign * sq) / np.where(quad, pi, 1.0), 0.0)
-        lin = (~quad) & (theta != 0.0)
-        beta = np.where(lin, -iota / np.where(lin, theta, 1.0), beta)
-        beta = np.where((~quad) & (theta == 0.0), 0.0, beta)
-        den = 0.5 * r * beta * beta + s * beta + t
-        num = 0.5 * a * beta * beta + b * beta + c
-        # A huge root (pi near 0) overflows beta^2; divide through by it.
-        far = ~(np.isfinite(den) & np.isfinite(num))
-        if np.any(far):
-            den = np.where(far, 0.5 * r + s / beta + t / (beta * beta), den)
-            num = np.where(far, 0.5 * a + b / beta + c / (beta * beta), num)
-        cand = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
-        values = np.minimum(cand[0], cand[1])
-    values = np.where(disc < 0.0, limit, values)
-    return values
 
 
 def select_swapping(problem, x, k_swap: int) -> WorkingSetSelection:

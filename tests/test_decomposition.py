@@ -352,7 +352,7 @@ def test_polish_scores_each_sweep_in_one_pass(monkeypatch):
     # vectorized 1-D kernel runs once per sweep plus once per accepted swap.
     problem = dataclasses.replace(build_pca(gen_randn(300, 100, 1000)), s=12)
     polish = decomposition._polish
-    kernel = working_set._solve_1d_rowwise
+    kernel = working_set.solve_1d_values
     in_polish, sweeps, kernel_calls = [], [], []
 
     def traced_polish(*args):
@@ -374,7 +374,7 @@ def test_polish_scores_each_sweep_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(decomposition, "_polish", traced_polish)
     monkeypatch.setattr(decomposition, "support_and_zero", traced_support_and_zero)
-    monkeypatch.setattr(working_set, "_solve_1d_rowwise", traced_kernel)
+    monkeypatch.setattr(working_set, "solve_1d_values", traced_kernel)
     trace = solve(problem, DecompositionConfig(max_iters=8))
     # The main loop's blocks have k = 12 coordinates; polish's have 1 or 2.
     swap_moves = sum(1 for B in trace.working_sets if B.size == 2)
@@ -439,13 +439,13 @@ def test_solver_invariants_unbounded(case):
     problem, config = case
     trace = solve(problem, config)
     check_invariants(problem, config, trace)
-    if config.swap_count >= 2:  # polish ran
-        # The certificate's tol is absolute, but the objective is evaluated
-        # only to relative accuracy: FDA and CCA from fewer samples than
-        # variables leave C a 1e-6 ridge from singular, |f| reaches 1e6, and
-        # two evaluations of one point differ by 4e-5.
-        tol = 1e-6 * max(1.0, abs(trace.final_objective))
-        assert certify_block2_stationary(problem, trace.x, tol=tol)
+    # Polish runs in every mode, swap_count = 0 included.  The certificate's
+    # tol is absolute, but the objective is evaluated only to relative
+    # accuracy: FDA and CCA from fewer samples than variables leave C a 1e-6
+    # ridge from singular, |f| reaches 1e6, and two evaluations of one point
+    # differ by 4e-5.
+    tol = 1e-6 * max(1.0, abs(trace.final_objective))
+    assert certify_block2_stationary(problem, trace.x, tol=tol)
 
 
 # Bounded runs solve supports by coordinate descent, up to 200 sweeps each,
@@ -461,7 +461,7 @@ def test_solver_invariants_bounded(case):
 @pytest.mark.xfail(
     strict=True,
     raises=(AssertionError, DegenerateDenominator),
-    reason="ROADMAP item 3: swap scoring ignores lower_bound, so the "
+    reason="ROADMAP item 1: swap scoring ignores lower_bound, so the "
     "certificate of a bounded solution reports infeasible improving swaps",
 )
 @settings(

@@ -2,18 +2,34 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgevp.errors import DegenerateDenominator, UnboundedBelow
 from sgevp.fractional1d import (
+    _TIE_TOL,
     OneDimCoefficients,
     infimum_positive,
-    psi_value,
     solve_1d,
     solve_1d_core,
-    stationary_candidates,
+    solve_1d_values,
 )
+
+
+def psi(c, beta):
+    return c.numerator(beta) / c.denominator(beta)
+
+
+def stationary_points(c):
+    """Real roots of pi/2 b^2 + theta b + iota by numpy.roots, an oracle
+    independent of the kernels' closed form; 0 where psi is constant."""
+    pi = c.a * c.s - c.b * c.r
+    theta = c.a * c.t - c.c * c.r
+    iota = c.t * c.b - c.c * c.s
+    if pi == 0.0 and theta == 0.0:
+        return [0.0]
+    roots = np.roots([0.5 * pi, theta, iota])
+    return sorted(float(z.real) for z in roots if z.imag == 0.0)
 
 
 def grid_minimum(c, lo=-100.0, hi=100.0, step=1e-4):
@@ -32,7 +48,7 @@ def grid_minimum(c, lo=-100.0, hi=100.0, step=1e-4):
         num = 0.5 * c.a * grid * grid + c.b * grid + c.c
         vals = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
         beta = float(grid[np.argmin(vals)])
-    return beta, psi_value(c, beta)
+    return beta, psi(c, beta)
 
 
 def random_bounded_instance(rng):
@@ -54,20 +70,27 @@ def test_symmetric_instance():
 
 def test_psi_value():
     c = OneDimCoefficients(a=1.0, b=1.0, c=1.0, r=1.0, s=1.0, t=1.0)
-    assert psi_value(c, 0.0) == pytest.approx(1.0)
-    assert psi_value(c, 1.0) == pytest.approx(1.0)
+    assert psi(c, 0.0) == pytest.approx(1.0)
+    assert psi(c, 1.0) == pytest.approx(1.0)
     c2 = OneDimCoefficients(a=2.0, b=-1.0, c=3.0, r=1.0, s=0.0, t=2.0)
     beta = 0.7
-    assert psi_value(c2, beta) == pytest.approx(
-        (0.5 * 2.0 * beta**2 - beta + 3.0) / (0.5 * beta**2 + 2.0)
-    )
+    assert c2.numerator(beta) == pytest.approx(0.5 * 2.0 * beta**2 - beta + 3.0)
+    assert c2.denominator(beta) == pytest.approx(0.5 * beta**2 + 2.0)
+    # The kernels' value is psi at the returned beta.
+    beta, value = solve_1d_core(c2.a, c2.b, c2.c, c2.r, c2.s, c2.t)
+    assert value == pytest.approx(psi(c2, beta))
 
 
 def test_psi_value_degenerate():
+    # The stationary points are 0 and 1, and the denominator is -0.5 at 1:
+    # the scalar kernel raises there, the batched one ignores that root.
     c = OneDimCoefficients(a=1.0, b=0.0, c=0.0, r=1.0, s=-2.0, t=1.0)
     assert c.denominator(1.0) <= 0
+    assert stationary_points(c) == pytest.approx([0.0, 1.0])
     with pytest.raises(DegenerateDenominator):
-        psi_value(c, 1.0)
+        solve_1d_core(c.a, c.b, c.c, c.r, c.s, c.t)
+    value = solve_1d_values(*(np.array([v]) for v in (c.a, c.b, c.c, c.r, c.s, c.t)))
+    assert value.tolist() == [0.0]
 
 
 def test_grid_oracle_agreement():
@@ -115,8 +138,9 @@ def test_pi_zero_linear_case():
     # a*s == b*r makes the stationarity quadratic linear
     c = OneDimCoefficients(a=1.0, b=2.0, c=0.5, r=0.5, s=1.0, t=2.0)
     assert c.a * c.s - c.b * c.r == 0.0
-    cands = stationary_candidates(c)
-    assert len(cands) == 1
+    assert stationary_points(c) == pytest.approx([-2.0])
+    beta, _ = solve_1d_core(c.a, c.b, c.c, c.r, c.s, c.t)
+    assert beta == -2.0  # -iota / theta = -3.5 / 1.75
     sol = solve_1d(c)
     beta_g, val_g = grid_minimum(c)
     assert abs(sol.value - val_g) <= 1e-6
@@ -141,6 +165,11 @@ def test_unbounded_below():
     assert theta * theta - 2 * pi * iota < 0
     with pytest.raises(UnboundedBelow):
         solve_1d(c)
+    with pytest.raises(UnboundedBelow):
+        solve_1d_core(c.a, c.b, c.c, c.r, c.s, c.t)
+    # The batched kernel reads the a/r limit at infinity instead.
+    value = solve_1d_values(*(np.array([v]) for v in (c.a, c.b, c.c, c.r, c.s, c.t)))
+    assert value.tolist() == [c.a / c.r]
 
 
 def test_limit_behavior():
@@ -148,7 +177,7 @@ def test_limit_behavior():
     for _ in range(20):
         c = random_bounded_instance(rng)
         for beta in (1e8, -1e8):
-            assert psi_value(c, beta) == pytest.approx(c.a / c.r, rel=1e-4)
+            assert psi(c, beta) == pytest.approx(c.a / c.r, rel=1e-4)
 
 
 def test_candidate_uniqueness():
@@ -156,16 +185,12 @@ def test_candidate_uniqueness():
     checked = 0
     for _ in range(200):
         c = random_bounded_instance(rng)
-        try:
-            cands = stationary_candidates(c)
-        except UnboundedBelow:
-            continue
+        cands = stationary_points(c)
         if len(cands) != 2:
             continue
-        try:
-            v1, v2 = psi_value(c, cands[0]), psi_value(c, cands[1])
-        except DegenerateDenominator:
+        if min(c.denominator(cands[0]), c.denominator(cands[1])) <= 0:
             continue
+        v1, v2 = psi(c, cands[0]), psi(c, cands[1])
         if abs(v1 - v2) <= 1e-12:
             continue
         sol = solve_1d(c)
@@ -178,7 +203,7 @@ def test_tie_returns_smaller_beta():
     # perfect symmetry: psi(beta) = psi(-beta), two tied minima
     c = OneDimCoefficients(a=-1.0, b=0.0, c=1.0, r=1.0, s=0.0, t=1.0)
     sol = solve_1d(c)
-    cands = stationary_candidates(c)
+    cands = stationary_points(c)
     assert sol.beta == pytest.approx(min(max(b, c.lower) for b in cands))
 
 
@@ -219,6 +244,8 @@ def test_huge_stationary_root_is_not_dropped():
     assert value == pytest.approx(1.0, rel=1e-15)
     sol = solve_1d(OneDimCoefficients(a=1.0, b=1e-170, c=2.0, r=1.0, s=2e-170, t=1.0))
     assert (sol.beta, sol.value) == (beta, value)
+    batched = solve_1d_values(*(np.array([v]) for v in (1.0, 1e-170, 2.0, 1.0, 2e-170, 1.0)))
+    assert batched.tolist() == [value]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -244,3 +271,64 @@ def test_infimum_positive_is_the_infimum_over_positive_beta(num, r, den):
     psi = (0.5 * a * grid * grid + b * grid + c) / (0.5 * r * grid * grid + s * grid + t)
     assert value <= psi.min() + 1e-12 * (1.0 + abs(psi.min()))
     assert value >= psi.min() - 1e-6 * (1.0 + abs(psi.min()))
+
+
+def batched_oracle(a, b, c, r, s, t, lower):
+    """(value, exact) that solve_1d_values must return for one element:
+    solve_1d_core's value where it returns, exact; the a/r limit (+inf for
+    r <= 0) where it raises UnboundedBelow, exact; and where it raises
+    DegenerateDenominator, the better of the other clamped closed-form roots
+    with a positive denominator, to rounding."""
+    try:
+        return solve_1d_core(a, b, c, r, s, t, lower)[1], True
+    except UnboundedBelow:
+        return (a / r if r > 0 else math.inf), True
+    except DegenerateDenominator:
+        pass
+    # The closed form, not numpy.roots: it may lose a small root to
+    # cancellation, and the kernels share that rounding.
+    pi, theta, iota = a * s - b * r, a * t - c * r, t * b - c * s
+    if pi == 0.0:
+        roots = [0.0 if theta == 0.0 else -iota / theta]
+    else:
+        sq = math.sqrt(theta * theta - 2.0 * pi * iota)
+        roots = [(-theta - sq) / pi, (-theta + sq) / pi]
+    coeffs = OneDimCoefficients(a=a, b=b, c=c, r=r, s=s, t=t)
+    values = []
+    for beta in (max(z, lower) for z in roots):
+        den, num = coeffs.denominator(beta), coeffs.numerator(beta)
+        if not (math.isfinite(den) and math.isfinite(num)):
+            den, num = 0.5 * r, 0.5 * a  # beta^2 overflows: psi is a/r to rounding
+        if den > 0:
+            values.append(num / den)
+    return min(values, default=math.inf), False
+
+
+coefficient = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+# r, t >= 0 mostly: the denominator is then positive somewhere and the
+# scalar kernel returns more often than it raises.
+square = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 4.0), coefficient)
+lower_bound = st.one_of(st.just(-math.inf), st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
+rows_1d = st.tuples(coefficient, coefficient, coefficient, square, coefficient, square, lower_bound)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(rows_1d, min_size=1, max_size=6))
+@example([(0.0, -3.790833706083548e-74, 0.0, 1.0, 0.0, 1.0, -math.inf)])  # a tie at 1e-74
+def test_batched_kernel_matches_the_scalar_kernel_with_a_lower_bound(rows):
+    columns = [np.array(column) for column in zip(*rows)]
+    values = solve_1d_values(*columns)
+    assert values.shape == (len(rows),)
+    for row, value in zip(rows, values):
+        expected, exact = batched_oracle(*row)
+        if not exact:
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        elif value != expected:
+            # Two roots whose values lie within _TIE_TOL: solve_1d_core keeps
+            # the smaller beta's value, the batched kernel the smaller value.
+            assert expected - _TIE_TOL <= value < expected
+        else:
+            assert value.tobytes() == np.float64(expected).tobytes()
+    # lower = None skips the clamp, which lower = -inf leaves a no-op.
+    free = solve_1d_values(*columns[:6])
+    assert free.tobytes() == solve_1d_values(*columns[:6], np.full(len(rows), -math.inf)).tobytes()

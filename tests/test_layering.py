@@ -74,3 +74,9 @@ def test_import_graph_sees_function_local_imports():
 def test_package_imports_are_acyclic():
     cycle = find_cycle(import_graph())
     assert cycle is None, " -> ".join(cycle)
+
+
+def test_fractional1d_is_a_leaf():
+    # The 1-D kernels are shared by working_set, qfp, subproblem and
+    # decomposition, so they import nothing from the package but errors.
+    assert import_graph()["fractional1d"] == {"errors"}

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from sgevp.decomposition import ProblemInstance, objective
 from sgevp import working_set
 from sgevp.errors import InsufficientCoordinates, InvalidK
+from sgevp.fractional1d import solve_1d_values
 from sgevp.working_set import (
     Provenance,
     descent_matrix,
@@ -19,7 +20,6 @@ from sgevp.working_set import (
     support_and_zero,
     swap_descent,
     swap_scores,
-    _solve_1d_rowwise,
 )
 
 from _util import random_problem
@@ -140,7 +140,7 @@ def test_descent_matrix_singleton_support_inexact_scale():
 def test_rowwise_huge_stationary_root_is_not_dropped():
     # Same row as the scalar solve_1d_core case: the root at beta = 2e170
     # overflows beta^2, and the row must still read the a/r = 1 limit.
-    row = _solve_1d_rowwise(
+    row = solve_1d_values(
         np.array([1.0]), np.array([1e-170]), 2.0, np.array([1.0]), np.array([2e-170]), 1.0,
     )
     assert row[0] == pytest.approx(1.0, rel=1e-15)
@@ -150,11 +150,11 @@ def test_rowwise_huge_stationary_root_is_not_dropped():
     b = np.array([[1e-170, 1e-170], [0.5, -0.3]])
     s = np.array([[2e-170, 2e-170], [0.1, 0.2]])
     c, t = np.array([[2.0], [1.0]]), np.array([[1.0], [2.0]])
-    rows = _solve_1d_rowwise(a, b, c, r, s, t)
+    rows = solve_1d_values(a, b, c, r, s, t)
     assert rows.shape == (2, 2)
     assert rows[0] == pytest.approx(1.0, rel=1e-15)
     for i in range(2):
-        alone = _solve_1d_rowwise(a, b[i], float(c[i, 0]), r, s[i], float(t[i, 0]))
+        alone = solve_1d_values(a, b[i], float(c[i, 0]), r, s[i], float(t[i, 0]))
         assert rows[i].tobytes() == alone.tobytes()
 
 
@@ -171,7 +171,7 @@ def swap_row_oracle(problem, x, Ax, Cx, f_x, i, J):
     t = 0.5 * (float(x @ Cx) - 2.0 * xi * Cx[i] + xi * xi * C[i, i])
     if t <= 0.0 or not (np.any(x[:i]) or np.any(x[i + 1:])):
         return a / r - f_x
-    return _solve_1d_rowwise(a, b, c, r, s, t) - f_x
+    return solve_1d_values(a, b, c, r, s, t) - f_x
 
 
 @st.composite

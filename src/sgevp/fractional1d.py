@@ -80,7 +80,9 @@ def solve_1d_core(
     """The 1-D minimizer behind solve_1d, for inner loops.
 
     Returns (beta, value): the better of the clamped stationary points,
-    ties to the smaller beta.  No dataclasses, no validation.  Raises
+    ties to the smaller beta.  Two values tie within _TIE_TOL times the
+    larger magnitude, capped at 1 (absolute for values of magnitude 1 and
+    above).  No dataclasses, no validation.  Raises
     UnboundedBelow on a negative discriminant.
     """
     pi = a * s - b * r
@@ -108,10 +110,14 @@ def solve_1d_core(
         if den <= 0:
             raise DegenerateDenominator(f"denominator {den:.6g} at beta={beta:.6g}")
         value = num / den
-        if value < best_value - _TIE_TOL or (
-            abs(value - best_value) <= _TIE_TOL and beta < best_beta
-        ):
+        if value < best_value - _TIE_TOL:
             best_beta, best_value = beta, value
+        elif abs(value - best_value) <= _TIE_TOL:
+            # The tie tolerance is relative below magnitude 1, so that two
+            # distinct tiny values never tie.
+            tol = _TIE_TOL * min(1.0, max(abs(value), abs(best_value)))
+            if value < best_value - tol or (abs(value - best_value) <= tol and beta < best_beta):
+                best_beta, best_value = beta, value
     return best_beta, best_value
 
 
@@ -123,9 +129,9 @@ def solve_1d_values(a, b, c, r, s, t, lower=None) -> np.ndarray:
     solve_1d_core; lower=None skips the clamp.  Where the scalar kernel
     raises, a root whose denominator is not positive is ignored, and a
     negative discriminant gives the a/r limit at infinity (+inf for
-    r <= 0).  Where both roots' values lie within _TIE_TOL of each other,
-    solve_1d_core keeps the smaller beta's and this kernel the smaller
-    value.
+    r <= 0).  Where both roots' values tie in solve_1d_core's sense (within
+    _TIE_TOL times the larger magnitude, capped at 1), solve_1d_core keeps
+    the smaller beta's and this kernel the smaller value.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pi = a * s - b * r

@@ -17,7 +17,11 @@ Two routes:
 
 ``assemble_reduced``, the batched support ranking ``pencil_keys`` and the
 face infima over y >= 0 that rank bounded supports, ``face_infima``, share
-one stacked change of variables, ``_whiten``.
+one stacked change of variables, ``_whiten``.  Where R is exactly the
+identity (every block of a PCA problem, where C = I), L = I and the change
+of variables is a no-op: ``_whiten`` forms no factor, inverse or product
+with it, and ``assemble_reduced`` skips the positive-definiteness check,
+with results bit-identical to the general route.
 """
 
 from __future__ import annotations
@@ -110,17 +114,36 @@ def _whiten(Q, p, w: float, R, c, v: float):
     L^{-1}, O = L^{-1} Q L^{-T} (symmetrized), g = L^{-1} (p - Q R^{-1} c),
     the border's Schur complement gamma = 2v - |L^{-1}c|^2 and
     delta = 2w - c'R^{-1} (2p - Q R^{-1} c).
+
+    Where every R is exactly I (every block of a PCA problem, C = I), L and
+    L^{-1} are I: no factorization, inverse or product with them is formed,
+    and L^{-1} is a read-only broadcast identity.  Products with an exact I
+    return their finite operands, with a -0.0 turned into +0.0 (hence the
+    + 0.0 below), so the results are those of the general route bit for
+    bit.  An inf or nan would spread nan through those products, so a stack
+    holding one takes the general route.
     """
-    L_inv = np.linalg.inv(np.linalg.cholesky(R))
-    L_inv_T = L_inv.transpose(0, 2, 1)
+    eye = np.eye(R.shape[-1])
     p = p[:, :, None]
-    t = L_inv @ c[:, :, None]
-    Rinv_c = L_inv_T @ t
-    Q_Rinv_c = Q @ Rinv_c
-    O = L_inv @ Q @ L_inv_T
+    identity = (R == eye).all()
+    if identity:
+        L_inv = np.broadcast_to(eye, R.shape)
+        t = Rinv_c = c[:, :, None] + 0.0
+        Q_Rinv_c = Q @ Rinv_c
+        O = Q + 0.0
+        g = p - Q_Rinv_c + 0.0
+        identity = np.isfinite(O).all() and np.isfinite(t).all() and np.isfinite(g).all()
+    if not identity:
+        L_inv = np.linalg.inv(np.linalg.cholesky(R))
+        L_inv_T = L_inv.transpose(0, 2, 1)
+        t = L_inv @ c[:, :, None]
+        Rinv_c = L_inv_T @ t
+        Q_Rinv_c = Q @ Rinv_c
+        O = L_inv @ Q @ L_inv_T
+        g = L_inv @ (p - Q_Rinv_c)
     gamma = 2.0 * v - np.sum(t * t, axis=(1, 2))
     delta = np.sum(Rinv_c * (Q_Rinv_c - 2.0 * p), axis=(1, 2)) + 2.0 * w
-    return L_inv, 0.5 * (O + O.transpose(0, 2, 1)), (L_inv @ (p - Q_Rinv_c))[:, :, 0], gamma, delta
+    return L_inv, 0.5 * (O + O.transpose(0, 2, 1)), g[:, :, 0], gamma, delta
 
 
 def _bordered_z(O, g, gamma, delta) -> np.ndarray:
@@ -269,10 +292,16 @@ class ReducedForm(NamedTuple):
 
 def assemble_reduced(q: QfpSubproblem) -> ReducedForm:
     """_whiten on a stack of one, plus Z (None when gamma == 0, where Z
-    would need a division by sqrt(gamma))."""
-    lam_min = linalg.min_eigenvalue(q.R)
-    if lam_min <= linalg.pd_tol(q.R):
-        raise linalg.NotPositiveDefinite(lam_min)
+    would need a division by sqrt(gamma)).
+
+    R must be positive definite.  An R that is exactly I passes without
+    the eigenvalue check (lambda_min = 1), and _whiten skips its
+    factorization too.
+    """
+    if not np.array_equal(q.R, np.eye(q.dim)):
+        lam_min = linalg.min_eigenvalue(q.R)
+        if lam_min <= linalg.pd_tol(q.R):
+            raise linalg.NotPositiveDefinite(lam_min)
     L_inv, O, g, gamma, delta = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
     slack = _GAMMA_SLACK * (1.0 + abs(2.0 * q.v))
     if gamma[0] < -slack:

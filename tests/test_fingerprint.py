@@ -65,3 +65,46 @@ def test_one_line_per_instance(capsys):
 def test_unknown_workload_is_refused():
     with pytest.raises(SystemExit):
         fingerprint.main(["--seeds", "1", "--workload", "no-such-workload"])
+
+
+def test_compare_reports_each_differing_instance(tmp_path, capsys, monkeypatch):
+    def canned(name, seed):
+        for label in ("'a b'", "'c'"):
+            yield f"{name} {seed} {label} {'0' * 40} 3 1,2 -0.5 tolerance True"
+
+    monkeypatch.setattr(fingerprint, "fingerprint", canned)
+    argv = ["--seeds", "2", "--workload", "pca-enum", "--workload", "fda-cca"]
+    assert fingerprint.main(argv) == 0
+    saved = capsys.readouterr().out.splitlines()
+    assert len(saved) == 8
+    path = tmp_path / "saved.txt"
+    # A longer saved run: only the workloads and seeds of this run count.
+    path.write_text("\n".join(saved + ["pca-large 0 'c' sha 1 0 -1.0 tolerance True"]) + "\n")
+    assert fingerprint.main(argv + ["--compare", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pca-enum: 0 of 4 instances differ", "fda-cca: 0 of 4 instances differ",
+    ]
+
+    # One certificate changed, one instance missing from the saved file.
+    changed = [line.replace("True", "False") if line.startswith("fda-cca 1 'a b'") else line
+               for line in saved if not line.startswith("pca-enum 0 'c'")]
+    path.write_text("\n".join(changed) + "\n")
+    assert fingerprint.main(argv + ["--compare", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pca-enum: 1 of 4 instances differ", "  0 'c'",
+        "fda-cca: 1 of 4 instances differ", "  1 'a b'",
+    ]
+
+
+def test_compare_against_a_real_run(tmp_path, capsys):
+    argv = ["--seeds", "1", "--workload", "pca-large"]
+    assert fingerprint.main(argv) == 0
+    path = tmp_path / "saved.txt"
+    path.write_text(capsys.readouterr().out)
+    assert fingerprint.main(argv + ["--compare", str(path)]) == 0
+    assert capsys.readouterr().out == "pca-large: 0 of 6 instances differ\n"
+
+
+def test_compare_refuses_a_missing_file(tmp_path):
+    with pytest.raises(SystemExit):
+        fingerprint.main(["--seeds", "1", "--compare", str(tmp_path / "none.txt")])

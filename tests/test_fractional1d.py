@@ -207,6 +207,16 @@ def test_tie_returns_smaller_beta():
     assert sol.beta == pytest.approx(min(max(b, c.lower) for b in cands))
 
 
+@pytest.mark.parametrize("scale", [1e-74, 1e-20, 1e-8, 1.0, 1e8])
+def test_tiny_distinct_values_do_not_tie(scale):
+    # psi(beta) = -scale beta / (beta^2/2 + 1) has its minimum -scale/sqrt(2)
+    # at beta = sqrt(2) and its maximum +scale/sqrt(2) at -sqrt(2): at any
+    # scale the two values lie 2 scale/sqrt(2) apart and must not tie.
+    beta, value = solve_1d_core(0.0, -scale, 0.0, 1.0, 0.0, 1.0)
+    assert beta == pytest.approx(math.sqrt(2.0))
+    assert value == pytest.approx(-scale / math.sqrt(2.0))
+
+
 def test_core_matches_solve_1d():
     rng = np.random.default_rng(14)
     for _ in range(300):
@@ -314,7 +324,7 @@ rows_1d = st.tuples(coefficient, coefficient, coefficient, square, coefficient, 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(rows_1d, min_size=1, max_size=6))
-@example([(0.0, -3.790833706083548e-74, 0.0, 1.0, 0.0, 1.0, -math.inf)])  # a tie at 1e-74
+@example([(0.0, -3.790833706083548e-74, 0.0, 1.0, 0.0, 1.0, -math.inf)])  # no tie at 1e-74
 def test_batched_kernel_matches_the_scalar_kernel_with_a_lower_bound(rows):
     columns = [np.array(column) for column in zip(*rows)]
     values = solve_1d_values(*columns)
@@ -324,9 +334,11 @@ def test_batched_kernel_matches_the_scalar_kernel_with_a_lower_bound(rows):
         if not exact:
             assert value == pytest.approx(expected, rel=1e-9, abs=1e-9)
         elif value != expected:
-            # Two roots whose values lie within _TIE_TOL: solve_1d_core keeps
-            # the smaller beta's value, the batched kernel the smaller value.
-            assert expected - _TIE_TOL <= value < expected
+            # Two roots whose values tie (within _TIE_TOL times the larger
+            # magnitude, capped at 1): solve_1d_core keeps the smaller beta's
+            # value, the batched kernel the smaller value.
+            tol = _TIE_TOL * min(1.0, max(abs(value), abs(expected)))
+            assert expected - tol <= value < expected
         else:
             assert value.tobytes() == np.float64(expected).tobytes()
     # lower = None skips the clamp, which lower = -inf leaves a no-op.

@@ -15,6 +15,7 @@ from sgevp.qfp import (
     _SHRUNK,
     Certificate,
     QfpSubproblem,
+    _whiten,
     assemble_reduced,
     default_bisection_tol,
     j_alpha,
@@ -550,3 +551,89 @@ def test_gamma_zero_with_affine_numerator():
 
     lam = float(sla.eigh(Q, R, eigvals_only=True, subset_by_index=[0, 0])[0])
     assert sol.value == pytest.approx(lam, abs=1e-6)
+
+
+def general_whiten(Q, p, w, R, c, v):
+    """_whiten's general route written out with L^{-1} = inv(cholesky(R))."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(R))
+    L_inv_T = L_inv.transpose(0, 2, 1)
+    p = p[:, :, None]
+    t = L_inv @ c[:, :, None]
+    Rinv_c = L_inv_T @ t
+    Q_Rinv_c = Q @ Rinv_c
+    O = L_inv @ Q @ L_inv_T
+    gamma = 2.0 * v - np.sum(t * t, axis=(1, 2))
+    delta = np.sum(Rinv_c * (Q_Rinv_c - 2.0 * p), axis=(1, 2)) + 2.0 * w
+    return L_inv, 0.5 * (O + O.transpose(0, 2, 1)), (L_inv @ (p - Q_Rinv_c))[:, :, 0], gamma, delta
+
+
+def identity_stack(case, m, n=5):
+    """(Q, p, w, R, c, v) with every R = I.  "signed zeros" scatters -0.0
+    in Q, c and p - Qc; "x_N = 0" is a block whose fixed coordinates are
+    all zero, c = +-0.0 and v = 0."""
+    rng = np.random.default_rng(m)
+    Q = np.stack([random_sym(rng, m) for _ in range(n)])
+    p = rng.standard_normal((n, m))
+    c = rng.standard_normal((n, m))
+    w, v = float(rng.standard_normal()), 0.5 * float(np.max(np.sum(c * c, axis=1))) + 1.0
+    if case != "random":
+        zeros = rng.random((n, m)) < 0.5
+        c = np.where(zeros, -0.0, 0.0 if case == "x_N = 0" else c)
+        p = np.where(zeros, -0.0, p)
+        Q[:, 0, 0] = -0.0
+    if case == "x_N = 0":
+        v = 0.0
+    return Q, p, w, np.broadcast_to(np.eye(m), (n, m, m)).copy(), c, v
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("factorized or eigendecomposed an identity R")
+
+
+def bits(arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize("case", ["random", "signed zeros", "x_N = 0"])
+def test_whiten_on_identity_R_is_the_general_route_bit_for_bit(m, case, monkeypatch):
+    stack = identity_stack(case, m)
+    expected = general_whiten(*stack)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    got = _whiten(*stack)
+    assert bits(got) == bits(expected)
+    assert [a.shape for a in got] == [a.shape for a in expected]
+
+
+def test_assemble_reduced_skips_factor_and_eigenvalue_check_on_identity_R(monkeypatch):
+    Q, p, w, R, c, v = identity_stack("signed zeros", 4, n=1)
+    q = QfpSubproblem(Q=Q[0], p=p[0], w=w, R=R[0], c=c[0], v=v)
+    monkeypatch.setattr(linalg, "min_eigenvalue", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    red = assemble_reduced(q)
+    monkeypatch.undo()
+    L_inv, O, g, gamma, delta = general_whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
+    assert bits([red.O, red.g, red.L_inv]) == bits([O[0], g[0], L_inv[0]])
+    assert (red.gamma, red.delta) == (float(gamma[0]), float(delta[0])) and red.gamma > 0.0
+
+
+@pytest.mark.parametrize("where", ["R", "Q", "c", "p"])
+def test_whiten_takes_the_general_route_off_the_identity(where, monkeypatch):
+    # One R off the identity, or a non-finite operand (the products with
+    # L^{-1} spread nan from an inf), leaves the whole stack to the
+    # factorization.
+    Q, p, w, R, c, v = identity_stack("random", 3)
+    if where == "R":
+        R[2] = random_spd(np.random.default_rng(3), 3)
+    else:
+        {"Q": Q, "c": c, "p": p}[where][1, 0] = np.inf
+    calls = []
+    cholesky = np.linalg.cholesky
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = general_whiten(Q, p, w, R, c, v)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        got = _whiten(Q, p, w, R, c, v)
+    assert len(calls) == 1
+    assert bits(got) == bits(expected)

@@ -3,6 +3,7 @@
 
     python3 tools/fingerprint.py --seeds 20 > fingerprint.txt
     python3 tools/fingerprint.py --seeds 5 --workload pca-bounded
+    python3 tools/fingerprint.py --seeds 20 --compare fingerprint.txt
 
 Run from the root of a checkout.  For seeds 0..N-1 of each workload in
 perfbench/workloads.py (imported as is), every instance is solved with
@@ -18,7 +19,11 @@ set.  <steps> is the trace length (trace.iterations), <support> the
 comma-separated indices of the final x's nonzeros and <objective> the repr
 of the final objective.  The certificate is True, False or the name of the
 error it raised.  Two checkouts that print the same lines gave
-bit-identical results; diff the outputs to find the instances that differ.
+bit-identical results.  ``--compare FILE`` diffs the run against a saved
+output instead of printing it: per workload, the number of instances whose
+line differs (or is missing on one side) and their seeds and labels, and
+exit status 1 if any differs.  Only the workloads and seeds of the run are
+compared, so a run of fewer seeds checks a prefix of a longer file.
 Where the digests differ only because sums round differently, equal
 supports, steps, stop reasons and certificates with nearby objectives say
 that the runs took the same path.
@@ -77,12 +82,39 @@ def fingerprint(name: str, seed: int):
         )
 
 
+def instance(line: str) -> tuple[str, ...]:
+    """(workload, seed, label) of an output line."""
+    return tuple(line.rsplit(" ", 6)[0].split(" ", 2))
+
+
+def compare(lines, saved) -> int:
+    """Print, per workload of lines, how many instances differ from the
+    saved lines of the same workloads and seeds, and which; 1 if any does."""
+    run = {instance(line): line for line in lines}
+    seeds = {key[:2] for key in run}
+    old = {instance(line): line for line in saved if instance(line)[:2] in seeds}
+    keys = list(dict.fromkeys([*run, *old]))
+    differ = 0
+    for name in dict.fromkeys(key[0] for key in run):
+        mine = [key for key in keys if key[0] == name]
+        diff = [key for key in mine if run.get(key) != old.get(key)]
+        print(f"{name}: {len(diff)} of {len(mine)} instances differ")
+        for key in diff:
+            print("  " + " ".join(key[1:]))
+        differ += len(diff)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=20, help="fingerprint seeds 0..N-1 (default 20)")
     parser.add_argument(
         "--workload", action="append",
         help="a workload of perfbench/workloads.py; repeat for several (default: all)",
+    )
+    parser.add_argument(
+        "--compare", metavar="FILE", type=Path,
+        help="diff the run against a saved output instead of printing it; exit 1 if any instance differs",
     )
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -94,10 +126,17 @@ def main(argv=None) -> int:
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    for name in names:
-        for seed in range(args.seeds):
-            for line in fingerprint(name, seed):
-                print(line, flush=True)
+    saved = None
+    if args.compare is not None:
+        try:
+            saved = args.compare.read_text().splitlines()
+        except OSError as error:
+            parser.error(f"--compare: {error}")
+    lines = (line for name in names for seed in range(args.seeds) for line in fingerprint(name, seed))
+    if saved is not None:
+        return compare(lines, saved)
+    for line in lines:
+        print(line, flush=True)
     return 0
 
 

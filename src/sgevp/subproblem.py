@@ -10,31 +10,32 @@ solves each restricted quadratic fractional program globally; a
 one-coordinate block is the 1-D program and is solved in closed form
 wherever the route's solver would return the same value up to rounding.
 
-A support's unconstrained infimum is the smallest eigenvalue of its
-bordered pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]]) (Golub, "Some
-modified matrix eigenvalue problems", SIAM Rev. 1973): the lambda_min(Z)
-that solve_bisection brackets.  It bounds every solver's value on that
-support from below, lower bound or not, so supports are ranked by it
-(qfp.pencil_keys, batched) and only those that can win are solved, by
-solve_bisection (the reference solver) or solve_coordinate_descent.
+Each support gets one lower bound on the value its solver returns, all
+before any support is solved; the supports are solved in bound order,
+and only those that can win (_ranked).  The bound is one of two:
 
-Which bound ranks which route: bisection, and coordinate descent without
-a lower bound, use the pencil key.  Coordinate descent with
-lower_bound == 0 uses the infimum over y >= 0 on the support: the smallest
-infimum over its faces, the sub-supports with every other entry at 0,
-empty face included.  A face's infimum is its smallest critical value with
-y >= 0 or its smallest limit along a direction d >= 0 at infinity, both
-eigenvalues of the face's whitened pencils (qfp.face_infima), and for one
-coordinate the 1-D program (fractional1d.infimum_positive).  It lies far
-closer to coordinate descent's value than the unconstrained key, so fewer
-supports are solved.  A support of q coordinates has 2^q faces, so only
-supports of at most 8 (one stack of RANK_CHUNK faces) are ranked this way;
-larger ones keep the pencil key.  With lower_bound < 0 a face fixes
-coordinates at the bound, so a block has 3^k faces; that route keeps the
-pencil key.  A bound
-only ranks: the route's solver still solves every support that can win,
-so the winner and its value are those of a loop over all supports.
+- The pencil key: a support's unconstrained infimum, the smallest
+  eigenvalue of its bordered pencil ([[Q, p], [p', 2w]], [[R, c],
+  [c', 2v]]) (Golub, "Some modified matrix eigenvalue problems", SIAM Rev.
+  1973), the lambda_min(Z) that solve_bisection brackets (qfp.pencil_keys,
+  batched).  It bounds every solver's value from below, lower bound or
+  not, and ranks the bisection route and coordinate descent without a
+  lower bound or with lower_bound < 0 (there a face fixes coordinates at
+  the bound, so a block has 3^k faces).
+- With lower_bound == 0, the infimum over y >= 0 on the support: the
+  smallest infimum over its faces, the sub-supports with every other entry
+  at 0, empty face included.  A face's infimum is its smallest critical
+  value with y >= 0 or its smallest limit along a direction d >= 0 at
+  infinity, both eigenvalues of the face's whitened pencils
+  (qfp.face_infima), and for one coordinate the 1-D program
+  (fractional1d.infimum_positive).  It lies far closer to coordinate
+  descent's value than the key, so fewer supports are solved.  A support
+  of q coordinates has 2^q faces, so only supports of at most 8 (one stack
+  of RANK_CHUNK faces) are ranked this way; larger ones keep the key.
 
+A bound only ranks: the route's solver, solve_bisection (the reference
+solver) or solve_coordinate_descent, still solves every support that can
+win, so the winner and its value are those of a loop over all supports.
 A support the ranking prunes is never solved, so an error its solve would
 raise does not surface.  A block with at most two supports gets no pencil
 keys, because they cost more than the solves they could save: without a
@@ -192,77 +193,52 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     """(support, solution) of the best size-q support, solved by solve
     (solve_bisection or solve_coordinate_descent).
 
-    Every support is ranked by a lower bound on the value solve returns
-    there; supports without one are solved first, in combination order.
-    The rest are solved in bound order until the next bound exceeds the
-    best value found by more than RANK_BAND, and the first support with the
+    Every support gets one bound, a lower bound on the value solve returns
+    there, before any support is solved.  With lower_bound == 0, q <= 8
+    and more than one support it is the infimum over y >= 0, the smallest
+    face infimum (_orthant_bounds); otherwise, on more than two supports,
+    the pencil key, the support's unconstrained infimum; otherwise none.
+    Supports without a finite bound are solved first, in combination
+    order; the rest in bound order until the next bound exceeds the best
+    value found by more than RANK_BAND.  The first support with the
     smallest value wins, as in a loop over all supports that skips a nan
-    value.  Any lower bound gives that winner; a tighter one solves fewer
-    supports.
+    value: a pruned support's value lies above its bound, and that bound
+    above the winner's value.  Any lower bound gives that winner; a tighter
+    one solves fewer supports.
 
-    The bound is the pencil key, the support's unconstrained infimum, on
-    the bisection route and on coordinate descent without a lower bound or
-    with lower_bound < 0 (there a face fixes coordinates at the bound, and
-    a block has 3^k faces).  A value can lie above its key: where
-    bisection's boundary escape stops short of an infimum approached at
-    infinity, and wherever a lower bound or a coordinate-wise minimum stops
-    coordinate descent.  With lower_bound == 0 and q <= 8 the bound is the
-    infimum over y >= 0, the smallest face infimum (_orthant_bounds).
-    Faces are computed once one support is solved, and only for the
-    supports whose keys are still within the band; a support whose faces
-    cannot be trusted keeps its key.  A block with at most two supports gets no pencil keys:
-    without a lower bound all its supports are solved, in combination
-    order, so an error in any of them surfaces; with lower_bound == 0 its
-    two one-coordinate supports are ranked by their face infima, scalars.
+    A value can lie above its key: where bisection's boundary escape stops
+    short of an infimum approached at infinity, and wherever a lower bound
+    or a coordinate-wise minimum stops coordinate descent.  A block with at
+    most two supports gets no pencil keys, which would cost more than the
+    solves they save: without a lower bound all its supports are solved,
+    so an error in any of them surfaces.
     """
     total = math.comb(qfp.dim, q)
     supports = np.fromiter(
         chain.from_iterable(combinations(range(qfp.dim), q)), dtype=np.intp, count=total * q,
     ).reshape(total, q)
     # A support has 2^q faces; beyond one stack of them (q > 8) its faces
-    # cost more than its coordinate-descent solve, and the keys rank alone.
-    orthant = qfp.lower_bound == 0.0 and 1 << q <= RANK_CHUNK
-    # On one or two supports the pencil keys cost more than they can save
-    # (polish's k = 2, q = 1 swap blocks): rank none, or, with a lower bound
-    # of 0, rank two one-coordinate supports by their face infima, scalars.
-    if total > 2:
-        keys = np.concatenate([
+    # cost more than its coordinate-descent solve.  With lower_bound < 0 a
+    # face fixes coordinates at the bound, and a block has 3^k faces.
+    if qfp.lower_bound == 0.0 and 1 << q <= RANK_CHUNK and total > 1:
+        bounds = _orthant_bounds(qfp, supports)
+    elif total > 2:
+        bounds = np.concatenate([
             _pencil_keys(qfp, supports[start:start + RANK_CHUNK])
             for start in range(0, total, RANK_CHUNK)
         ])
-    elif orthant and total == 2 and q == 1:
-        empty, single = _small_faces(qfp)
-        keys = np.array([min(empty, single[i]) for i in range(2)])
     else:
-        keys = np.full(total, np.nan)
+        bounds = np.full(total, -math.inf)
+    # A support without a finite bound ranks at -inf: solved first, never pruned.
+    bounds[~np.isfinite(bounds)] = -math.inf
     solved = {}
-
-    def solve_support(i):
+    best_value = math.inf
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] > best_value + RANK_BAND * (1.0 + abs(best_value)):
+            break
         solved[i] = solve(_restrict(qfp, supports[i]))
         # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
-        return min(best_value, solved[i].value)
-
-    def beyond(key):
-        return key > best_value + RANK_BAND * (1.0 + abs(best_value))
-
-    best_value = math.inf
-    for i in np.flatnonzero(~np.isfinite(keys)):
-        best_value = solve_support(i)
-    order = np.argsort(keys, kind="stable")
-    if orthant and total > 2 and len(solved) < total:
-        # The keys decide which supports are left once one value is known;
-        # only those get face infima, and they are solved in that order.
-        if best_value == math.inf:
-            best_value = solve_support(next(i for i in order if i not in solved))
-        left = np.array([i for i in order[~beyond(keys[order])] if i not in solved], dtype=np.intp)
-        if left.size:
-            keys[left] = np.maximum(keys[left], _orthant_bounds(qfp, supports[left]))
-        order = left[np.argsort(keys[left], kind="stable")]
-    for i in order:
-        if beyond(keys[i]):
-            break
-        if i not in solved:
-            best_value = solve_support(i)
+        best_value = min(best_value, solved[i].value)
     # The first of equal values wins; nan ranks last.
     best = min(sorted(solved), key=lambda i: (math.isnan(solved[i].value), solved[i].value))
     return supports[best], solved[best]
@@ -283,18 +259,25 @@ def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
     with value w/v; a one-coordinate face is the 1-D program
     (fractional1d.infimum_positive); larger faces are computed stacked per
     size (qfp.face_infima), only those under the given supports.  A face
-    that cannot be trusted reads -inf, which leaves its supports to their
-    pencil keys.  table[mask] is the smallest face infimum under the face
-    with that bitmask, filled size by size from the faces one smaller:
-    2^k floats, 8 MB at the block-size cap, and at most C(k, size) masks of
-    a size at a time.
+    that cannot be trusted reads -inf, which leaves its supports unranked:
+    _ranked solves them first.  A one-coordinate support has only the
+    empty face and itself.  For larger supports, table[mask] is the
+    smallest face infimum under the face with that bitmask, filled size by
+    size from the faces one smaller: 2^k floats, 8 MB at the block-size
+    cap, and at most C(k, size) masks of a size at a time.
     """
     k, q = qfp.dim, supports.shape[1]
+    w, v = qfp.w, qfp.v
+    # y = 0 is a point only where v > 0; with v <= 0 the ratio tends to +inf
+    # towards y = 0 if w > 0 and cannot be bounded otherwise.
+    empty = w / v if v > 0.0 else (math.inf if w > 0.0 else -math.inf)
+    Q, p, R, c = np.diag(qfp.Q).tolist(), qfp.p.tolist(), np.diag(qfp.R).tolist(), qfp.c.tolist()
+    single = np.minimum(empty, [infimum_positive(Q[i], p[i], w, R[i], c[i], v) for i in range(k)])
+    if q == 1:
+        return single[supports[:, 0]]
     bits = 1 << np.arange(k)
     table = np.full(1 << k, np.nan)
-    empty, single = _small_faces(qfp)
-    table[0] = empty
-    table[bits] = np.minimum(empty, single)
+    table[bits] = single
     support_masks = bits[supports].sum(axis=1)
     levels, masks = [], np.unique(support_masks)
     for size in range(q, 1, -1):
@@ -319,12 +302,3 @@ def _drop_one(masks: np.ndarray, bits: np.ndarray, size: int) -> np.ndarray:
         out[start:start + RANK_CHUNK] = (chunk ^ bits)[(chunk & bits) != 0].reshape(-1, size)
     return out
 
-
-def _small_faces(qfp: QfpSubproblem) -> tuple[float, list[float]]:
-    """The empty face's value and each one-coordinate face's infimum."""
-    w, v = qfp.w, qfp.v
-    # y = 0 is a point only where v > 0; with v <= 0 the ratio tends to +inf
-    # towards y = 0 if w > 0 and cannot be bounded otherwise.
-    empty = w / v if v > 0.0 else (math.inf if w > 0.0 else -math.inf)
-    Q, p, R, c = np.diag(qfp.Q).tolist(), qfp.p.tolist(), np.diag(qfp.R).tolist(), qfp.c.tolist()
-    return empty, [infimum_positive(Q[i], p[i], w, R[i], c[i], v) for i in range(qfp.dim)]

@@ -395,7 +395,8 @@ def test_lower_bound_respected():
 @st.composite
 def solver_cases(draw, bounded: bool, max_k: int = 20):
     """A small PCA, FDA or CCA instance (n <= 24, s <= 4) from Gaussian data
-    and a config with k <= min(n, max_k) on a short iteration budget."""
+    and a config with k <= min(n, max_k) on a short iteration budget, with
+    either subsolver; bounded instances have lower_bound 0 or -0.1."""
     # sampled_from spreads the sizes evenly; st.integers favours small ones.
     app = draw(st.sampled_from(["pca", "fda", "cca"]))
     m, d = draw(st.sampled_from(range(4, 25))), draw(st.sampled_from(range(4, 25)))
@@ -410,12 +411,14 @@ def solver_cases(draw, bounded: bool, max_k: int = 20):
         problem = build_cca(data.X[data.y > 0], data.X[data.y <= 0])
     n = problem.dim
     s = draw(st.sampled_from(range(1, min(4, n) + 1)))
-    problem = dataclasses.replace(problem, s=s, lower_bound=0.0 if bounded else None)
+    lower_bound = draw(st.sampled_from([0.0, -0.1])) if bounded else None
+    problem = dataclasses.replace(problem, s=s, lower_bound=lower_bound)
     k = draw(st.sampled_from(range(1, min(n, max_k) + 1)))
     swap = 2 * draw(st.sampled_from(range(k // 2 + 1)))
     config = DecompositionConfig(
         k=k, random_count=k - swap, swap_count=swap, max_iters=draw(st.sampled_from(range(1, 13))),
         seed=draw(st.integers(0, 100)),
+        subsolver=draw(st.sampled_from(["bisection", "coordinate-descent"])),
     )
     return problem, config
 
@@ -449,7 +452,8 @@ def test_solver_invariants_unbounded(case):
 
 
 # Bounded runs solve supports by coordinate descent, up to 200 sweeps each,
-# on the supports the pencil-key ranking cannot prune; k stays <= 12 to keep
+# on the supports their ranking bounds cannot prune (face infima with
+# lower_bound = 0 and q <= 8, pencil keys otherwise); k stays <= 12 to keep
 # the test fast.
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(solver_cases(bounded=True, max_k=12))

@@ -80,3 +80,28 @@ def test_fractional1d_is_a_leaf():
     # The 1-D kernels are shared by working_set, qfp, subproblem and
     # decomposition, so they import nothing from the package but errors.
     assert import_graph()["fractional1d"] == {"errors"}
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """'module: name from target' for every underscore-prefixed name that a
+    module (name -> source) imports from the package."""
+    found = []
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level != 1 and not (node.module or "").startswith("sgevp"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{name}: {alias.name} from {node.module}")
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    # Private helpers (subproblem's ranking bounds, qfp._whiten) stay in
+    # the module that defines them, so each rule has one home.
+    sample = {"a": "def f():\n    from .qfp import _whiten, solve_bisection\n"}
+    assert private_imports(sample) == ["a: _whiten from qfp"]
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert private_imports(sources) == []

@@ -367,15 +367,12 @@ def block_cases(draw, lower_bounds=st.none(), sizes=st.integers(2, 10)):
 
 
 def ranking_bounds(qfp, supports):
-    """The bound _ranked ranks each support by: its pencil key, and with
-    lower_bound == 0 and 2^q faces in one stack the larger of the key and
-    its smallest face infimum (the face infimum alone on a block of two
-    one-coordinate supports)."""
-    keys = _pencil_keys(qfp, supports)
-    if qfp.lower_bound != 0.0 or 1 << supports.shape[1] > RANK_CHUNK:
-        return keys
-    faces = _orthant_bounds(qfp, supports)
-    return faces if supports.shape == (2, 1) else np.maximum(keys, faces)
+    """The bound _ranked ranks each support by: with lower_bound == 0,
+    2^q faces in one stack and more than one support, its smallest face
+    infimum alone; elsewhere its pencil key."""
+    if qfp.lower_bound == 0.0 and 1 << supports.shape[1] <= RANK_CHUNK and len(supports) > 1:
+        return _orthant_bounds(qfp, supports)
+    return _pencil_keys(qfp, supports)
 
 
 def check_ranked_matches_loop(sub, method, solve, strict=True):
@@ -548,8 +545,9 @@ def test_one_coordinate_block_in_closed_form(sub, method):
 def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
     # A bounded block with x_N = 0 (gamma = 0), k = 8 and q = 4 as on a
     # lower_bound = 0 PCA run: 35 of the 70 supports have pencil keys above
-    # the winner's value, and the face infima over y >= 0 leave 2 of the
-    # other 35 to solve.
+    # the winner's value, but the face infima over y >= 0 leave only the
+    # winner to solve.  Every bound exists before the first solve, so no
+    # support that its faces would prune is solved.
     problem = dataclasses.replace(build_pca(gen_randn(150, 50, 3)), s=4, lower_bound=0.0)
     x = np.zeros(problem.dim)
     x[[2, 5, 11, 17]] = [0.4, 0.3, 0.2, 0.1]
@@ -563,7 +561,7 @@ def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
 
     monkeypatch.setattr(subproblem, "solve_coordinate_descent", counted)
     z, value = solve_exact(sub)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
     assert z.tobytes() == z_loop.tobytes()
     assert value == value_loop
@@ -575,19 +573,28 @@ def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
 @pytest.mark.parametrize("k, q, keyed", [(2, 1, False), (2, 2, False), (3, 1, True)])
 def test_blocks_of_at_most_two_supports_compute_no_keys(monkeypatch, method, lower_bound, k, q, keyed):
     # Keys would cost more than they can prune on one or two supports
-    # (polish's swap blocks have k = 2, q = 1): every support is solved, and
-    # the result is the per-support loop's.
+    # (polish's swap blocks have k = 2, q = 1): without a lower bound every
+    # support is solved.  With lower_bound = 0 the face infima rank every
+    # block of more than one support, and no block computes keys.  Either
+    # way the result is the per-support loop's.
     rng = np.random.default_rng(53)
     sub = BlockSubproblem(qfp=random_qfp(rng, k, lower_bound=lower_bound), budget=q)
-    calls = []
+    keys, faces = [], []
 
-    def counted(qfp, supports):
-        calls.append(len(supports))
-        return _pencil_keys(qfp, supports)
+    def counted(calls, bounds):
+        def wrapped(qfp, supports):
+            calls.append(len(supports))
+            return bounds(qfp, supports)
+        return wrapped
 
-    monkeypatch.setattr(subproblem, "_pencil_keys", counted)
+    monkeypatch.setattr(subproblem, "_pencil_keys", counted(keys, _pencil_keys))
+    monkeypatch.setattr(subproblem, "_orthant_bounds", counted(faces, _orthant_bounds))
     z, value = solve_exact(sub, method)
-    assert calls == ([3] if keyed else [])
+    if lower_bound is None:
+        assert keys == ([3] if keyed else []) and faces == []
+    else:
+        total = len(list(combinations(range(k), q)))
+        assert keys == [] and faces == ([total] if total > 1 else [])
     solve = solve_bisection if method == "bisection" and lower_bound is None else solve_coordinate_descent
     z_loop, value_loop = exact_by_loop(sub, solve)[:2]
     assert z.tobytes() == z_loop.tobytes() and value == value_loop
@@ -708,8 +715,8 @@ def test_ranked_enumeration_at_block_size_cap():
 
 def test_face_infima_at_block_size_cap():
     # k = 20 with lower_bound = 0 and x_N = 0: the face table holds 2^20
-    # entries (8 MB) and faces are computed for the supports the keys leave,
-    # in chunks; the result is the per-support loop's.
+    # entries (8 MB) and faces are computed for all 1,140 supports, in
+    # chunks, before any is solved; the result is the per-support loop's.
     rng = np.random.default_rng(54)
     n = MAX_BLOCK_SIZE + 2
     G = rng.standard_normal((n, n))

@@ -241,9 +241,11 @@ def cmd_certify(args) -> int:
         payload = json.load(handle)
     x = np.asarray(payload["final"]["x"], dtype=float)
     problem = build_problem(args.app, data, args.s)
+    n = problem.dim
+    if not 1 <= args.k <= n:
+        raise InvalidK(f"--k {args.k} outside [1, {n}]")
     ok = decomposition.certify_block2_stationary(problem, x, tol=args.tol)
     print(f"block-2: {'PASS' if ok else 'FAIL'}")
-    n = problem.dim
     if comb(n, args.k) <= args.measure_cap:
         measure = decomposition.block_k_measure(problem, x, args.k)
         verdict = "PASS" if measure <= args.tol else "FAIL"

@@ -20,13 +20,12 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, DenominatorCollapse, TooLarge
+from .errors import ConfigError, DenominatorCollapse, InvalidK, TooLarge
 from .fractional1d import solve_1d  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 from .fractional1d import solve_1d_values
 from .problems import ProblemInstance, objective, products, quadratic_forms
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
 from .working_set import (
-    WorkingSetSelection,
     select_hybrid,
     select_random,
     support_and_zero,
@@ -59,12 +58,16 @@ class DecompositionConfig:
             )
         if self.k < 1:
             raise ConfigError("k must be at least 1")
+        if self.random_count < 0 or self.swap_count < 0:
+            raise ConfigError("random_count and swap_count must be nonnegative")
         if self.random_count + self.swap_count != self.k:
             raise ConfigError("random_count + swap_count must equal k")
         if self.swap_count % 2 != 0:
             raise ConfigError("swap count must be even")
         if self.theta < 0:
             raise ConfigError("theta must be nonnegative")
+        if self.window < 1:
+            raise ConfigError("window must be at least 1")
         if self.subsolver not in ("bisection", "coordinate-descent"):
             raise ConfigError(f"unknown subsolver {self.subsolver!r}")
 
@@ -145,7 +148,7 @@ def _block_move(problem, x, B, theta, method="bisection"):
     return x_new, num / den, den
 
 
-def _select_working_set(problem, x, config: DecompositionConfig, rng) -> WorkingSetSelection:
+def _select_working_set(problem, x, config: DecompositionConfig, rng) -> np.ndarray:
     S, Z = support_and_zero(x)
     w = config.swap_count
     # Not enough support/zero coordinates for the requested pair count early
@@ -170,9 +173,8 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
     trace.objectives.append(f)
     _checked_denominator(den)
     reason = "max_iters"
-    for t in range(config.max_iters):
-        selection = _select_working_set(problem, x, config, rng)
-        B = selection.indices
+    for _ in range(config.max_iters):
+        B = _select_working_set(problem, x, config, rng)
         # A collapse to the zero vector is rejected.  The exact subsolver
         # satisfies sufficient decrease by construction; coordinate descent
         # may return an improving but insufficient point, which would break
@@ -183,7 +185,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
             x_new, f_new, den_new = step
         trace.record(x, x_new, f, f_new, _checked_denominator(den_new), start, B)
         x, f, den = x_new, f_new, den_new
-        window = trace.rel_decreases[-min(t + 1, config.window):]
+        window = trace.rel_decreases[-config.window:]
         if sum(window) / len(window) <= config.epsilon:
             reason = "tolerance"
             break
@@ -266,33 +268,35 @@ def _polish(problem, config, x, f, trace, start):
     return x, f, False
 
 
-def refine_block_k(
-    problem: ProblemInstance,
-    x: np.ndarray,
-    k: int,
-    theta: float = 0.0,
-    max_rounds: int = 100,
-    tol: float | None = None,
-) -> tuple[np.ndarray, float]:
+def _blocks(n: int, k: int):
+    """Every block of k of the n coordinates, as an index array, in
+    combination order; InvalidK unless 1 <= k <= n, and TooLarge beyond
+    MEASURE_GUARD blocks, both raised before the first block."""
+    if not 1 <= k <= n:
+        raise InvalidK(f"k={k} outside [1, {n}]")
+    total = comb(n, k)
+    if total > MEASURE_GUARD:
+        raise TooLarge(f"C({n},{k}) = {total} exceeds {MEASURE_GUARD}")
+    for block in combinations(range(n), k):
+        yield np.asarray(block, dtype=int)
+
+
+def refine_block_k(problem: ProblemInstance, x: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """Exhaustive-block refinement: cycle every C(n, k) block with exact
-    proximal solves until a full pass makes no move.
+    block solves (theta = 0) until a full pass, of at most 100, makes no
+    move that lowers the objective by more than 1e-10 (1 + |f|).
 
     This is the deterministic working-set rule that enumerates all blocks,
     feasible only at desk scale; it drives the iterate to a block-k
-    stationary point (up to tol), where block_k_measure vanishes.
+    stationary point (up to that threshold), where block_k_measure vanishes.
     """
-    n = problem.dim
-    total_blocks = comb(n, k)
-    if total_blocks > MEASURE_GUARD:
-        raise TooLarge(f"C({n},{k}) = {total_blocks} exceeds {MEASURE_GUARD}")
     x = np.asarray(x, dtype=float).copy()
     f = objective(problem, x)
-    if tol is None:
-        tol = 1e-10 * (1.0 + abs(f))
-    for _ in range(max_rounds):
+    tol = 1e-10 * (1.0 + abs(f))
+    for _ in range(100):
         moved = False
-        for block in combinations(range(n), k):
-            step = _block_move(problem, x, np.asarray(block, dtype=int), theta)
+        for B in _blocks(problem.dim, k):
+            step = _block_move(problem, x, B, 0.0)
             if step is not None and step[1] < f - tol:
                 x, f, _ = step
                 moved = True
@@ -301,26 +305,19 @@ def refine_block_k(
     return x, f
 
 
-def block_k_measure(
-    problem: ProblemInstance, x: np.ndarray, k: int, theta0: float = 0.0
-) -> float:
-    """Mean squared distance from x_B to the exact block optimizer over all
-    C(n, k) blocks; zero iff x is block-k optimal."""
+def block_k_measure(problem: ProblemInstance, x: np.ndarray, k: int) -> float:
+    """Mean squared distance from x_B to the exact block optimizer
+    (theta = 0) over all C(n, k) blocks; zero iff x is block-k optimal."""
     n = problem.dim
-    total_blocks = comb(n, k)
-    if total_blocks > MEASURE_GUARD:
-        raise TooLarge(f"C({n},{k}) = {total_blocks} exceeds {MEASURE_GUARD}")
     x = np.asarray(x, dtype=float)
     total = 0.0
     mask = np.empty(n, dtype=bool)
-    for block in combinations(range(n), k):
-        B = np.asarray(block, dtype=int)
-        sub = build_block_subproblem(problem, x, B, theta0)
-        z, _ = solve_exact(sub)
+    for B in _blocks(n, k):
+        z, _ = solve_exact(build_block_subproblem(problem, x, B, 0.0))
         xB = x[B]
         mask[:] = True
         mask[B] = False
-        if theta0 == 0.0 and not np.any(x[mask]) and np.any(z):
+        if not np.any(x[mask]) and np.any(z):
             # The fixed part is zero, so the block objective is scale
             # invariant and its optimum is a ray; measure the distance to
             # the nearest point on that ray.
@@ -328,7 +325,7 @@ def block_k_measure(
             if scale != 0.0:
                 z = scale * z
         total += float(np.sum((z - xB) ** 2))
-    return total / total_blocks
+    return total / comb(n, k)
 
 
 def certify_block2_stationary(

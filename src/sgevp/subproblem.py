@@ -261,10 +261,11 @@ def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
     size (qfp.face_infima), only those under the given supports.  A face
     that cannot be trusted reads -inf, which leaves its supports unranked:
     _ranked solves them first.  A one-coordinate support has only the
-    empty face and itself.  For larger supports, table[mask] is the
-    smallest face infimum under the face with that bitmask, filled size by
-    size from the faces one smaller: 2^k floats, 8 MB at the block-size
-    cap, and at most C(k, size) masks of a size at a time.
+    empty face and itself.  For larger supports, the faces under them are
+    held per size as a sorted array of bitmasks and, aligned with it, the
+    smallest face infimum under each, filled size by size from the faces
+    one smaller (looked up with searchsorted): memory scales with the
+    faces used, at most C(k, size) of a size, not with the 2^k masks.
     """
     k, q = qfp.dim, supports.shape[1]
     w, v = qfp.w, qfp.v
@@ -276,22 +277,24 @@ def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
     if q == 1:
         return single[supports[:, 0]]
     bits = 1 << np.arange(k)
-    table = np.full(1 << k, np.nan)
-    table[bits] = single
     support_masks = bits[supports].sum(axis=1)
     levels, masks = [], np.unique(support_masks)
     for size in range(q, 1, -1):
         levels.append(masks)
         masks = np.unique(_drop_one(masks, bits, size))
-    for size, masks in enumerate(reversed(levels), start=2):
-        below = table[_drop_one(masks, bits, size)].min(axis=1)
-        for start in range(0, masks.size, RANK_CHUNK):
-            chunk = masks[start:start + RANK_CHUNK]
-            faces = np.nonzero(chunk[:, None] & bits)[1].reshape(-1, size)
+    # (masks, values): the faces of one size, from the singles upwards.
+    masks, values = bits, single
+    for size, upper in enumerate(reversed(levels), start=2):
+        below = values[np.searchsorted(masks, _drop_one(upper, bits, size))].min(axis=1)
+        infima = []
+        for start in range(0, upper.size, RANK_CHUNK):
+            faces = np.nonzero(upper[start:start + RANK_CHUNK, None] & bits)[1].reshape(-1, size)
             S, T = faces[:, :, None], faces[:, None, :]
-            infima = face_infima(qfp.Q[S, T], qfp.p[faces], qfp.w, qfp.R[S, T], qfp.c[faces], qfp.v)
-            table[chunk] = np.minimum(infima, below[start:start + RANK_CHUNK])
-    return table[support_masks]
+            infima.append(
+                face_infima(qfp.Q[S, T], qfp.p[faces], qfp.w, qfp.R[S, T], qfp.c[faces], qfp.v)
+            )
+        masks, values = upper, np.minimum(np.concatenate(infima), below)
+    return values[np.searchsorted(masks, support_masks)]
 
 
 def _drop_one(masks: np.ndarray, bits: np.ndarray, size: int) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Working-set selection: random, swapping, and hybrid strategies.
 
+Each selector returns the working set B as an int index array: swap
+supports, then swap zeros, then sorted random picks.  A coordinate's role
+is its position in B.
+
 The swapping strategy scores every (support i, zero j) pair by the exact
 objective descent achievable when i leaves the support and j enters with
 its optimal coefficient, then greedily takes the best nonoverlapping
@@ -13,9 +17,6 @@ explicit per-pair reference.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientCoordinates, InvalidK, UnboundedBelow
@@ -23,29 +24,16 @@ from .fractional1d import OneDimCoefficients, solve_1d, solve_1d_values
 from .problems import objective, products
 
 
-class Provenance(enum.Enum):
-    RANDOM = "Random"
-    SWAP_SUPPORT = "SwapSupport"
-    SWAP_ZERO = "SwapZero"
-
-
-@dataclass
-class WorkingSetSelection:
-    indices: np.ndarray
-    provenance: list[Provenance]
-
-
 def support_and_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x)
     return np.flatnonzero(x != 0.0), np.flatnonzero(x == 0.0)
 
 
-def select_random(n: int, k: int, rng: np.random.Generator) -> WorkingSetSelection:
-    """k distinct indices, uniform over all C(n, k) combinations."""
+def select_random(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct indices, sorted, uniform over all C(n, k) combinations."""
     if not 1 <= k <= n:
         raise InvalidK(f"k={k} outside [1, {n}]")
-    idx = np.sort(rng.choice(n, size=k, replace=False))
-    return WorkingSetSelection(indices=idx, provenance=[Provenance.RANDOM] * k)
+    return np.sort(rng.choice(n, size=k, replace=False))
 
 
 def swap_descent(problem, x, i: int, j: int) -> float:
@@ -114,8 +102,9 @@ def descent_matrix(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return S, Z, D
 
 
-def select_swapping(problem, x, k_swap: int) -> WorkingSetSelection:
-    """Top-(k/2) nonoverlapping swap pairs by greatest descent."""
+def select_swapping(problem, x, k_swap: int) -> np.ndarray:
+    """Top-(k/2) nonoverlapping swap pairs by greatest descent: their
+    support coordinates in pair order, then their zero coordinates."""
     if k_swap % 2 != 0 or k_swap <= 0:
         raise InvalidK(f"swap count must be positive and even, got {k_swap}")
     S, Z, D = descent_matrix(problem, x)
@@ -141,28 +130,18 @@ def select_swapping(problem, x, k_swap: int) -> WorkingSetSelection:
         used_j.add(j)
         if len(chosen) == pairs_needed:
             break
-    indices = np.array([i for i, _ in chosen] + [j for _, j in chosen], dtype=int)
-    provenance = [Provenance.SWAP_SUPPORT] * pairs_needed + [Provenance.SWAP_ZERO] * pairs_needed
-    return WorkingSetSelection(indices=indices, provenance=provenance)
+    return np.array([i for i, _ in chosen] + [j for _, j in chosen], dtype=int)
 
 
-def select_hybrid(
-    problem, x, r: int, w: int, rng: np.random.Generator
-) -> WorkingSetSelection:
-    """w swap-selected coordinates first, then r uniform from the rest."""
+def select_hybrid(problem, x, r: int, w: int, rng: np.random.Generator) -> np.ndarray:
+    """w swap-selected coordinates first, then r uniform from the rest, sorted."""
     n = problem.A.shape[0]
     k = r + w
     if not 1 <= k <= n:
         raise InvalidK(f"k={k} outside [1, {n}]")
-    if w > 0:
-        swap = select_swapping(problem, x, w)
-        indices = list(swap.indices)
-        provenance = list(swap.provenance)
-    else:
-        indices, provenance = [], []
+    indices = select_swapping(problem, x, w) if w > 0 else np.empty(0, dtype=int)
     if r > 0:
-        remaining = np.setdiff1d(np.arange(n), np.asarray(indices, dtype=int))
+        remaining = np.setdiff1d(np.arange(n), indices)
         extra = np.sort(rng.choice(remaining, size=r, replace=False))
-        indices.extend(int(i) for i in extra)
-        provenance.extend([Provenance.RANDOM] * r)
-    return WorkingSetSelection(indices=np.asarray(indices, dtype=int), provenance=provenance)
+        indices = np.concatenate([indices, extra])
+    return indices

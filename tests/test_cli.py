@@ -155,6 +155,21 @@ def test_certify_zero_vector_is_a_numerical_error(tmp_path, capsys):
     assert "objective undefined at x = 0" in capsys.readouterr().err
 
 
+def test_certify_k_out_of_range_is_a_configuration_error(tmp_path, capsys):
+    data = gen_dataset(tmp_path, d=10)
+    trace = tmp_path / "trace.json"
+    assert run(["solve", "--data", str(data), "--labeled", "--app", "pca",
+                "--solver", "dec-b", "--s", "3", "--k", "4", "--random", "2",
+                "--swap", "2", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    for k in ("11", "-1", "0"):
+        assert run(["certify", "--data", str(data), "--labeled", "--app", "pca",
+                    "--s", "3", "--trace", str(trace), "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --k {k} outside [1, 10]")
+
+
 def test_defaults_golden(capsys):
     assert run(["defaults"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -25,6 +25,7 @@ from sgevp.errors import (
     ConfigError,
     DegenerateDenominator,
     DenominatorCollapse,
+    InvalidK,
     SgevpError,
     TooLarge,
     ZeroVector,
@@ -100,6 +101,14 @@ def test_config_validation():
         DecompositionConfig(k=4, random_count=2, swap_count=2, subsolver="newton").validate(problem)
     with pytest.raises(ConfigError):
         DecompositionConfig(k=0, random_count=0, swap_count=0).validate(problem)
+    for bad in (
+        dict(random_count=2, swap_count=2, window=0),
+        dict(random_count=2, swap_count=2, window=-1),
+        dict(random_count=-2, swap_count=6),
+        dict(random_count=6, swap_count=-2),
+    ):
+        with pytest.raises(ConfigError):
+            DecompositionConfig(k=4, **bad).validate(problem)
 
 
 def test_diagonal_instance_reaches_optimum():
@@ -298,6 +307,11 @@ def test_block_k_measure_too_large():
         block_k_measure(problem, np.eye(50)[0], k=12)
     with pytest.raises(TooLarge):
         refine_block_k(problem, np.eye(50)[0], k=12)
+    for k in (-1, 0, 51):
+        with pytest.raises(InvalidK):
+            block_k_measure(problem, np.eye(50)[0], k=k)
+        with pytest.raises(InvalidK):
+            refine_block_k(problem, np.eye(50)[0], k=k)
 
 
 def test_refine_block_k_never_increases():

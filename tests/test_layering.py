@@ -105,3 +105,39 @@ def test_no_module_imports_a_private_name():
     assert private_imports(sample) == ["a: _whiten from qfp"]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert private_imports(sources) == []
+
+
+# Names imported but not read in the module, because perfbench/tracer.py
+# wraps them there by attribute name.
+TRACED_IMPORTS = {"decomposition: solve_1d", "decomposition: swap_descent"}
+
+
+def unused_imports(sources: dict[str, str]) -> list[str]:
+    """'module: name' for every name a module (name -> source) imports and
+    never reads; a name listed in the module's __all__ counts as read."""
+    found = []
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        imported = []
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used |= {elt.value for elt in node.value.elts}
+        found += [f"{name}: {alias}" for alias in imported if alias not in used]
+    return found
+
+
+def test_every_imported_name_is_used():
+    sample = {"a": "import os, numpy as np\nfrom .qfp import pencil_keys as keys, solve\n"
+                   "__all__ = ['solve']\nnp.eye(2)\n"}
+    assert unused_imports(sample) == ["a: os", "a: keys"]
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert set(unused_imports(sources)) == TRACED_IMPORTS

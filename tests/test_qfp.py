@@ -19,6 +19,7 @@ from sgevp.qfp import (
     assemble_reduced,
     default_bisection_tol,
     j_alpha,
+    pencil_keys,
     _cd_start,
     projected_gradient,
     solve_bisection,
@@ -551,6 +552,27 @@ def test_gamma_zero_with_affine_numerator():
 
     lam = float(sla.eigh(Q, R, eigvals_only=True, subset_by_index=[0, 0])[0])
     assert sol.value == pytest.approx(lam, abs=1e-6)
+
+
+
+def test_gamma_zero_root_below_the_first_bracket():
+    # gamma = 0, delta = 1 and g = 10: there is no Z to bound the root from
+    # below, and J stays negative down to alpha = -62, so the lower bracket
+    # expands until J turns nonnegative.  The root is the pencil key
+    # lambda_min(O - g g'/delta) = 1 - 100.
+    q = QfpSubproblem(
+        Q=np.array([[1.0]]), p=np.array([10.0]), w=0.5, R=np.array([[1.0]]),
+        c=np.zeros(1), v=0.0,
+    )
+    red = assemble_reduced(q)
+    assert red.gamma == 0.0 and red.delta == 1.0 and red.Z is None
+    key = float(pencil_keys(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)[0])
+    assert key == -99.0
+    sol = solve_bisection(q)
+    assert sol.certificate is Certificate.BISECTION_ROOT
+    tol = default_bisection_tol(key, float(red.O[0, 0]))
+    assert abs(sol.alpha_star - key) <= tol
+    assert abs(sol.value - key) <= tol
 
 
 def general_whiten(Q, p, w, R, c, v):

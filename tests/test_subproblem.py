@@ -713,10 +713,8 @@ def test_ranked_enumeration_at_block_size_cap():
         assert value <= solve_bisection(restrict(sub.qfp, other)).value
 
 
-def test_face_infima_at_block_size_cap():
-    # k = 20 with lower_bound = 0 and x_N = 0: the face table holds 2^20
-    # entries (8 MB) and faces are computed for all 1,140 supports, in
-    # chunks, before any is solved; the result is the per-support loop's.
+def cap_block():
+    """A k = 20 block with lower_bound = 0, x_N = 0 and budget 3."""
     rng = np.random.default_rng(54)
     n = MAX_BLOCK_SIZE + 2
     G = rng.standard_normal((n, n))
@@ -725,6 +723,15 @@ def test_face_infima_at_block_size_cap():
     x[[0, 3, 7]] = [0.5, 0.25, 1.0]
     sub = build_block_subproblem(problem, x, np.arange(MAX_BLOCK_SIZE), 1e-5)
     assert sub.budget == 3 and sub.qfp.v == 0.0
+    return sub
+
+
+def test_face_infima_at_block_size_cap():
+    # k = 20 with lower_bound = 0 and x_N = 0: faces are computed for all
+    # 1,140 supports (1,350 faces with the 190 pairs and 20 singles under
+    # them), in chunks, before any is solved; the result is the
+    # per-support loop's.
+    sub = cap_block()
     start = time.perf_counter()
     tracemalloc.start()
     try:
@@ -736,3 +743,20 @@ def test_face_infima_at_block_size_cap():
     assert peak < 64 * 2**20
     z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
     assert z.tobytes() == z_loop.tobytes() and value == value_loop
+
+
+def test_orthant_bounds_memory_scales_with_the_faces_used():
+    # The faces are held per size for the masks in use (1,350 at k = 20,
+    # q = 3), not in a table of all 2^20 masks, which alone takes 8 MB.
+    sub = cap_block()
+    supports = np.array(list(combinations(range(MAX_BLOCK_SIZE), 3)))
+    assert len(supports) == 1140
+    _orthant_bounds(sub.qfp, supports[:2])  # np.unique imports numpy.ma on first use
+    tracemalloc.start()
+    try:
+        bounds = _orthant_bounds(sub.qfp, supports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bounds.shape == (1140,)
+    assert peak < 2**20

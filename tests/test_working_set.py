@@ -12,7 +12,6 @@ from sgevp import working_set
 from sgevp.errors import InsufficientCoordinates, InvalidK
 from sgevp.fractional1d import solve_1d_values
 from sgevp.working_set import (
-    Provenance,
     descent_matrix,
     select_hybrid,
     select_random,
@@ -38,9 +37,7 @@ def test_select_random_uniform_frequency():
     rng = np.random.default_rng(60)
     counts = {c: 0 for c in combinations(range(n), k)}
     for _ in range(draws):
-        sel = select_random(n, k, rng)
-        counts[tuple(sel.indices)] += 1
-        assert sel.provenance == [Provenance.RANDOM] * k
+        counts[tuple(select_random(n, k, rng))] += 1
     p = 1.0 / len(counts)
     sigma = (draws * p * (1 - p)) ** 0.5
     for combo, cnt in counts.items():
@@ -247,9 +244,8 @@ def test_select_swapping_matches_greedy_oracle():
         sel = select_swapping(problem, x, k_swap)
         S, Z, D = descent_matrix(problem, x)
         ref = greedy_reference(S, Z, D, k_swap // 2)
-        pairs = list(zip(sel.indices[: k_swap // 2], sel.indices[k_swap // 2 :]))
+        pairs = list(zip(sel[: k_swap // 2], sel[k_swap // 2 :]))
         assert [(int(i), int(j)) for i, j in pairs] == ref
-        assert sel.provenance == [Provenance.SWAP_SUPPORT] * 2 + [Provenance.SWAP_ZERO] * 2
 
 
 @st.composite
@@ -287,7 +283,7 @@ def test_select_swapping_ranks_as_the_three_key_lexsort(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(working_set, "descent_matrix", lambda problem, x: (S, Z, D))
         sel = select_swapping(None, None, 2 * pairs)
-    assert list(zip(sel.indices[:pairs].tolist(), sel.indices[pairs:].tolist())) == expected
+    assert list(zip(sel[:pairs].tolist(), sel[pairs:].tolist())) == expected
 
 
 def test_select_swapping_tie_breaks_lexicographic():
@@ -299,7 +295,7 @@ def test_select_swapping_tie_breaks_lexicographic():
     x = np.zeros(6)
     x[[2, 4]] = 1.0
     sel = select_swapping(problem, x, 4)
-    pairs = list(zip(sel.indices[:2], sel.indices[2:]))
+    pairs = list(zip(sel[:2], sel[2:]))
     assert [(int(i), int(j)) for i, j in pairs] == [(2, 0), (4, 1)]
 
 
@@ -324,14 +320,11 @@ def test_select_hybrid_composition():
         support = rng.choice(9, size=4, replace=False)
         x[support] = rng.standard_normal(4)
         sel = select_hybrid(problem, x, r=2, w=4, rng=rng)
-        assert sel.indices.size == 6
-        assert len(set(int(i) for i in sel.indices)) == 6  # distinct
-        assert sel.provenance.count(Provenance.RANDOM) == 2
-        assert sel.provenance.count(Provenance.SWAP_SUPPORT) == 2
-        assert sel.provenance.count(Provenance.SWAP_ZERO) == 2
+        assert sel.size == 6
+        assert len(set(int(i) for i in sel)) == 6  # distinct
         # swap part matches pure swapping selection
         swap = select_swapping(problem, x, 4)
-        assert np.array_equal(sel.indices[:4], swap.indices)
+        assert np.array_equal(sel[:4], swap)
 
 
 def test_select_hybrid_pure_random():
@@ -340,8 +333,7 @@ def test_select_hybrid_pure_random():
     x = np.zeros(6)
     x[1] = 1.0
     sel = select_hybrid(problem, x, r=3, w=0, rng=rng)
-    assert sel.indices.size == 3
-    assert sel.provenance == [Provenance.RANDOM] * 3
+    assert sel.size == 3
 
 
 def test_select_hybrid_invalid_k():
@@ -354,6 +346,6 @@ def test_select_hybrid_invalid_k():
 
 
 def test_select_random_determinism():
-    a = select_random(10, 4, np.random.default_rng(7)).indices
-    b = select_random(10, 4, np.random.default_rng(7)).indices
+    a = select_random(10, 4, np.random.default_rng(7))
+    b = select_random(10, 4, np.random.default_rng(7))
     assert np.array_equal(a, b)

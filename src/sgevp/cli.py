@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--app", choices=("pca", "fda", "cca"), required=True)
     certify.add_argument("--s", type=int, required=True)
     certify.add_argument("--trace", type=Path, required=True)
-    certify.add_argument("--k", type=int, default=4)
+    certify.add_argument("--k", type=int, default=4, help="block size of the informational "
+                         "block-k measure; the exit status is the block-2 certificate's (default 4)")
     certify.add_argument(
         "--tol", type=float, default=1e-6,
         help="absolute tolerance on the objective descent of any swap or 1-D move, and on "

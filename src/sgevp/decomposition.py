@@ -311,14 +311,12 @@ def block_k_measure(problem: ProblemInstance, x: np.ndarray, k: int) -> float:
     n = problem.dim
     x = np.asarray(x, dtype=float)
     total = 0.0
-    mask = np.empty(n, dtype=bool)
     for B in _blocks(n, k):
-        z, _ = solve_exact(build_block_subproblem(problem, x, B, 0.0))
+        sub = build_block_subproblem(problem, x, B, 0.0)
+        z, _ = solve_exact(sub)
         xB = x[B]
-        mask[:] = True
-        mask[B] = False
-        if not np.any(x[mask]) and np.any(z):
-            # The fixed part is zero, so the block objective is scale
+        if sub.budget == problem.s and np.any(z):
+            # A budget of s leaves x_N = 0, so the block objective is scale
             # invariant and its optimum is a ray; measure the distance to
             # the nearest point on that ray.
             scale = float(z @ xB) / float(z @ z)

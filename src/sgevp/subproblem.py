@@ -6,13 +6,15 @@ numerator.  The cardinality budget is q = s - ||x_N||_0.  Its coefficients
 are sums over T = supp(x) minus B, the only nonzeros of x_N, so assembling
 a block costs O(k s + s^2), not O(n^2).  The solver enumerates supports of
 size min(q, k) (support monotonicity makes the smaller sizes redundant) and
-solves each restricted quadratic fractional program globally; a
-one-coordinate block is the 1-D program and is solved in closed form
-wherever the route's solver would return the same value up to rounding.
+solves each restricted quadratic fractional program globally.  A
+one-coordinate support, a whole block or one of many, is the 1-D program
+and is solved in closed form wherever the route's solver would return the
+same value up to rounding (_one_coordinate).
 
-Each support gets one lower bound on the value its solver returns, all
-before any support is solved; the supports are solved in bound order,
-and only those that can win (_ranked).  The bound is one of two:
+Each support of q >= 2 coordinates gets one lower bound on the value its
+solver returns, all before any support is solved; the supports are solved
+in bound order, and only those that can win (_ranked).  The bound is one
+of two:
 
 - The pencil key: a support's unconstrained infimum, the smallest
   eigenvalue of its bordered pencil ([[Q, p], [p', 2w]], [[R, c],
@@ -37,9 +39,9 @@ A bound only ranks: the route's solver, solve_bisection (the reference
 solver) or solve_coordinate_descent, still solves every support that can
 win, so the winner and its value are those of a loop over all supports.
 A support the ranking prunes is never solved, so an error its solve would
-raise does not surface.  A block with at most two supports gets no pencil
-keys, because they cost more than the solves they could save: without a
-lower bound every support is solved, and an error in any of them surfaces.
+raise does not surface.  A block with one-coordinate supports or with a
+single support gets no bounds: every support is solved, and an error in
+any of them surfaces.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ import numpy as np
 from .errors import DegenerateDenominator, UnboundedBelow
 from .fractional1d import infimum_positive, solve_1d_core
 from .qfp import (
+    Certificate,
+    QfpSolution,
     QfpSubproblem,
     face_infima,
     pencil_keys,
@@ -118,7 +122,7 @@ def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.nda
 
     Supports are solved by solve_bisection, or by solve_coordinate_descent
     with a lower bound or method="coordinate-descent", in _ranked's order;
-    a one-coordinate block goes to _one_coordinate first.
+    a one-coordinate block goes to _one_coordinate directly.
     Returns (z, value); entries off the winning support are exact zeros.
     Among supports of equal value the first in combination order wins.
     """
@@ -133,52 +137,51 @@ def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.nda
         return np.zeros(k), qfp.w / qfp.v
 
     bisection = method == "bisection" and qfp.lower_bound is None
+    solve = solve_bisection if bisection else solve_coordinate_descent
     if k == 1:
-        closed = _one_coordinate(qfp, bisection)
-        if closed is not None:
-            return closed
-    support, best = _ranked(qfp, q, solve_bisection if bisection else solve_coordinate_descent)
+        best = _one_coordinate(qfp, solve)
+        return best.y, float(best.value)
+    support, best = _ranked(qfp, q, solve)
     z = np.zeros(k)
     z[support] = best.y
     return z, float(best.value)
 
 
-def _one_coordinate(qfp: QfpSubproblem, bisection: bool):
-    """(z, value) of a one-coordinate block with budget 1 in closed form,
-    or None where the route's solver decides.
+def _one_coordinate(qfp: QfpSubproblem, solve) -> QfpSolution:
+    """solve(qfp) of a one-coordinate QFP, in closed form where it applies.
 
-    The block is the 1-D fractional program that solve_1d_core minimizes.
-    The solver decides where the denominator is not positive everywhere
-    (v = 0 when x_N = 0), where the kernel raises or its point overflows
-    the denominator, and, on the bisection route, where the limit Q/R at
-    infinity lies below the kernel's value: solve_bisection then escapes
-    towards infinity.  On the coordinate-descent route the result is
-    coordinate descent's first move from y = 0, taken only if it lowers
-    the value below w/v.  Coordinate descent's second sweep can still move
-    by an ulp (on 81 of 3,704 1x1 supports of a pca-bounded benchmark run),
-    so the two values agree to 1e-12, not bit for bit.  That is why
-    _ranked solves the two 1x1 supports of a k = 2, q = 1 block with the
-    route's solver, not in closed form: the closed form's points and
-    values differ by ulps, which changed 49 of 100 pca-bounded
-    trajectories (seeds 0-4).
+    The QFP is the 1-D fractional program that solve_1d_core minimizes.
+    solve (solve_bisection or solve_coordinate_descent) decides where the
+    denominator is not positive everywhere (v = 0 when x_N = 0), where the
+    kernel raises or its point overflows the denominator, and, on the
+    bisection route, where the limit Q/R at infinity lies below the
+    kernel's value: solve_bisection then escapes towards infinity.  On the
+    coordinate-descent route the result is coordinate descent's first move
+    from y = 0, taken only if it lowers the value below w/v; the full solve
+    can still move it by an ulp, so the two agree to rounding, not bit for
+    bit.
     """
     Q, p, R, c, w, v = (
         float(qfp.Q[0, 0]), float(qfp.p[0]), float(qfp.R[0, 0]), float(qfp.c[0]), qfp.w, qfp.v,
     )
     if not 2.0 * v * R > c * c:
-        return None
+        return solve(qfp)
     lower = -math.inf if qfp.lower_bound is None else qfp.lower_bound
     try:
         beta, value = solve_1d_core(Q, p, w, R, c, v, lower)
     except (UnboundedBelow, DegenerateDenominator):
-        return None
+        return solve(qfp)
     if not 0.5 * R * beta * beta + c * beta + v < math.inf:
-        return None
-    if bisection:
-        return None if Q / R < value else (np.array([beta]), value)
-    if beta != 0.0 and value < w / v:
-        return np.array([beta]), value
-    return np.zeros(1), w / v
+        return solve(qfp)
+    bisection = solve is solve_bisection
+    if bisection and Q / R < value:
+        return solve(qfp)
+    if not bisection and not (beta != 0.0 and value < w / v):
+        beta, value = 0.0, w / v
+    return QfpSolution(
+        y=np.array([beta]), value=value, alpha_star=value if bisection else None, iterations=0,
+        certificate=Certificate.BISECTION_ROOT if bisection else Certificate.COORDINATE_WISE_MIN,
+    )
 
 
 def _restrict(qfp: QfpSubproblem, support) -> QfpSubproblem:
@@ -191,44 +194,43 @@ def _restrict(qfp: QfpSubproblem, support) -> QfpSubproblem:
 
 def _ranked(qfp: QfpSubproblem, q: int, solve):
     """(support, solution) of the best size-q support, solved by solve
-    (solve_bisection or solve_coordinate_descent).
+    (solve_bisection or solve_coordinate_descent), or by _one_coordinate
+    where q = 1.
 
-    Every support gets one bound, a lower bound on the value solve returns
-    there, before any support is solved.  With lower_bound == 0, q <= 8
-    and more than one support it is the infimum over y >= 0, the smallest
-    face infimum (_orthant_bounds); otherwise, on more than two supports,
-    the pencil key, the support's unconstrained infimum; otherwise none.
-    Supports without a finite bound are solved first, in combination
-    order; the rest in bound order until the next bound exceeds the best
-    value found by more than RANK_BAND.  The first support with the
-    smallest value wins, as in a loop over all supports that skips a nan
-    value: a pruned support's value lies above its bound, and that bound
-    above the winner's value.  Any lower bound gives that winner; a tighter
-    one solves fewer supports.
+    With q >= 2 and more than one support, every support gets one bound, a
+    lower bound on the value solve returns there, before any support is
+    solved: with lower_bound == 0 and q <= 8 the infimum over y >= 0, the
+    smallest face infimum (_orthant_bounds); otherwise the pencil key, the
+    support's unconstrained infimum.  Supports without a finite bound are
+    solved first, in combination order; the rest in bound order until the
+    next bound exceeds the best value found by more than RANK_BAND.  The
+    first support with the smallest value wins, as in a loop over all
+    supports that skips a nan value: a pruned support's value lies above
+    its bound, and that bound above the winner's value.  Any lower bound
+    gives that winner; a tighter one solves fewer supports.
 
     A value can lie above its key: where bisection's boundary escape stops
     short of an infimum approached at infinity, and wherever a lower bound
-    or a coordinate-wise minimum stops coordinate descent.  A block with at
-    most two supports gets no pencil keys, which would cost more than the
-    solves they save: without a lower bound all its supports are solved,
-    so an error in any of them surfaces.
+    or a coordinate-wise minimum stops coordinate descent.  One-coordinate
+    supports, each the 1-D program in closed form, and a lone support get
+    no bounds: all supports are solved, so an error in any of them surfaces.
     """
     total = math.comb(qfp.dim, q)
     supports = np.fromiter(
         chain.from_iterable(combinations(range(qfp.dim), q)), dtype=np.intp, count=total * q,
     ).reshape(total, q)
+    if q == 1 or total == 1:
+        bounds = np.full(total, -math.inf)
     # A support has 2^q faces; beyond one stack of them (q > 8) its faces
     # cost more than its coordinate-descent solve.  With lower_bound < 0 a
     # face fixes coordinates at the bound, and a block has 3^k faces.
-    if qfp.lower_bound == 0.0 and 1 << q <= RANK_CHUNK and total > 1:
+    elif qfp.lower_bound == 0.0 and 1 << q <= RANK_CHUNK:
         bounds = _orthant_bounds(qfp, supports)
-    elif total > 2:
+    else:
         bounds = np.concatenate([
             _pencil_keys(qfp, supports[start:start + RANK_CHUNK])
             for start in range(0, total, RANK_CHUNK)
         ])
-    else:
-        bounds = np.full(total, -math.inf)
     # A support without a finite bound ranks at -inf: solved first, never pruned.
     bounds[~np.isfinite(bounds)] = -math.inf
     solved = {}
@@ -236,7 +238,8 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     for i in np.argsort(bounds, kind="stable"):
         if bounds[i] > best_value + RANK_BAND * (1.0 + abs(best_value)):
             break
-        solved[i] = solve(_restrict(qfp, supports[i]))
+        restricted = _restrict(qfp, supports[i])
+        solved[i] = _one_coordinate(restricted, solve) if q == 1 else solve(restricted)
         # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
         best_value = min(best_value, solved[i].value)
     # The first of equal values wins; nan ranks last.
@@ -260,12 +263,11 @@ def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
     (fractional1d.infimum_positive); larger faces are computed stacked per
     size (qfp.face_infima), only those under the given supports.  A face
     that cannot be trusted reads -inf, which leaves its supports unranked:
-    _ranked solves them first.  A one-coordinate support has only the
-    empty face and itself.  For larger supports, the faces under them are
-    held per size as a sorted array of bitmasks and, aligned with it, the
-    smallest face infimum under each, filled size by size from the faces
-    one smaller (looked up with searchsorted): memory scales with the
-    faces used, at most C(k, size) of a size, not with the 2^k masks.
+    _ranked solves them first.  The faces under the supports are held per
+    size as a sorted array of bitmasks and, aligned with it, the smallest
+    face infimum under each, filled size by size from the faces one
+    smaller (looked up with searchsorted): memory scales with the faces
+    used, at most C(k, size) of a size, not with the 2^k masks.
     """
     k, q = qfp.dim, supports.shape[1]
     w, v = qfp.w, qfp.v
@@ -274,8 +276,6 @@ def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
     empty = w / v if v > 0.0 else (math.inf if w > 0.0 else -math.inf)
     Q, p, R, c = np.diag(qfp.Q).tolist(), qfp.p.tolist(), np.diag(qfp.R).tolist(), qfp.c.tolist()
     single = np.minimum(empty, [infimum_positive(Q[i], p[i], w, R[i], c[i], v) for i in range(k)])
-    if q == 1:
-        return single[supports[:, 0]]
     bits = 1 << np.arange(k)
     support_masks = bits[supports].sum(axis=1)
     levels, masks = [], np.unique(support_masks)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgevp.cli import DEFAULTS, main, render_svg
+from sgevp.problems import build_cca, load_csv, objective
 
 
 def run(argv):
@@ -168,6 +169,86 @@ def test_certify_k_out_of_range_is_a_configuration_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: --k {k} outside [1, 10]")
+
+
+def test_certify_block_k_measure_is_informational(tmp_path, capsys):
+    # The block-2 certificate passes and the block-5 measure fails: the
+    # measure is printed, and the exit status is the certificate's.
+    data = gen_dataset(tmp_path, d=10)
+    trace = tmp_path / "trace.json"
+    assert run(["solve", "--data", str(data), "--labeled", "--app", "pca",
+                "--solver", "dec-b", "--s", "3", "--k", "2", "--random", "2",
+                "--swap", "0", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert run(["certify", "--data", str(data), "--labeled", "--app", "pca",
+                "--s", "3", "--trace", str(trace), "--k", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "block-2: PASS"
+    assert lines[1].startswith("block-5 measure: ") and lines[1].endswith("(FAIL)")
+
+
+def test_certify_skips_a_measure_over_the_cap(tmp_path, capsys):
+    data = gen_dataset(tmp_path)
+    trace = tmp_path / "trace.json"
+    assert run(["solve", "--data", str(data), "--labeled", "--app", "pca",
+                "--solver", "dec-b", "--s", "3", "--k", "6", "--random", "2",
+                "--swap", "4", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert run(["certify", "--data", str(data), "--labeled", "--app", "pca",
+                "--s", "3", "--trace", str(trace), "--k", "2", "--measure-cap", "65"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "block-2 measure: skipped (C(12,2) exceeds cap 65)"
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_solve_cca_splits_the_rows_into_two_views(tmp_path, labeled):
+    # Labeled rows split by sign of the label, view 1 the positive ones;
+    # unlabeled rows (here the label is a 13th feature) split into halves.
+    # The final x is scored under the expected split's problem.
+    path = gen_dataset(tmp_path)
+    out = tmp_path / "trace.json"
+    assert run(["solve", "--data", str(path), *(["--labeled"] if labeled else []),
+                "--app", "cca", "--solver", "dec-b", "--s", "3", "--k", "6", "--random", "4",
+                "--swap", "2", "--out", str(out)]) == 0
+    data = load_csv(path, labeled=labeled)
+    if labeled:
+        view1, view2 = data.X[data.y > 0], data.X[data.y <= 0]
+    else:
+        view1, view2 = data.X[:20], data.X[20:]
+    final = json.loads(out.read_text())["final"]
+    x = np.asarray(final["x"])
+    assert x.size == 40
+    assert objective(build_cca(view1, view2), x) == pytest.approx(final["f"], rel=1e-12)
+
+
+def test_solve_libsvm_source(tmp_path):
+    data = tmp_path / "data.libsvm"
+    rng = np.random.default_rng(5)
+    data.write_text("".join(
+        f"{1 if i % 2 else -1} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if j != i % 6)
+        + "\n"
+        for i, row in enumerate(rng.standard_normal((20, 6)).tolist())
+    ))
+    out = tmp_path / "trace.json"
+    assert run(["solve", "--data", str(data), "--format", "libsvm", "--app", "pca",
+                "--solver", "dec-b", "--s", "2", "--k", "4", "--random", "2", "--swap", "2",
+                "--out", str(out)]) == 0
+    x = np.asarray(json.loads(out.read_text())["final"]["x"])
+    assert x.size == 6 and 1 <= np.count_nonzero(x) <= 2
+
+
+def test_solve_trf_baseline(tmp_path):
+    out = tmp_path / "trace.json"
+    assert run(["solve", "--randn", "30x8", "--seed", "3", "--app", "fda",
+                "--solver", "trf", "--s", "2", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["solver"] == "trf"
+    assert 1 <= np.count_nonzero(payload["final"]["x"]) <= 2
+
+
+def test_solve_malformed_randn_is_a_configuration_error(capsys):
+    assert run(["solve", "--randn", "30by8", "--app", "pca", "--solver", "tpm", "--s", "2"]) == 2
+    assert capsys.readouterr().err == "error: --randn expects MxD, got '30by8'\n"
 
 
 def test_defaults_golden(capsys):

@@ -91,8 +91,32 @@ def test_compare_reports_each_differing_instance(tmp_path, capsys, monkeypatch):
     path.write_text("\n".join(changed) + "\n")
     assert fingerprint.main(argv + ["--compare", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "pca-enum: 1 of 4 instances differ", "  0 'c'",
-        "fda-cca: 1 of 4 instances differ", "  1 'a b'",
+        "pca-enum: 1 of 4 instances differ",
+        "  0 of 1 keep steps, support, stop reason and certificate", "  0 'c'",
+        "fda-cca: 1 of 4 instances differ",
+        "  0 of 1 keep steps, support, stop reason and certificate", "  1 'a b'",
+    ]
+
+    # Two digests and objectives moved on the same path, one of them by
+    # 2^-52 relative; one step count changed.
+    def moved(line):
+        if line.startswith(("pca-enum 1 'c'", "fda-cca 0 'c'")):
+            return line.replace("0" * 40, "1" * 40).replace(" -0.5 ", " -0.5000000000000002 ")
+        if line.startswith("fda-cca 1 'c'"):
+            return line.replace(" 3 1,2 ", " 4 1,2 ")
+        return line
+
+    path.write_text("\n".join(map(moved, saved)) + "\n")
+    assert fingerprint.main(argv + ["--compare", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pca-enum: 1 of 4 instances differ",
+        "  1 of 1 keep steps, support, stop reason and certificate; "
+        "largest relative objective change 4.4e-16",
+        "  1 'c'",
+        "fda-cca: 2 of 4 instances differ",
+        "  1 of 2 keep steps, support, stop reason and certificate; "
+        "largest relative objective change 4.4e-16",
+        "  0 'c'", "  1 'c'",
     ]
 
 

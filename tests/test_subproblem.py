@@ -309,18 +309,20 @@ def restrict(qfp, support):
 
 def exact_by_loop(sub, solve=solve_bisection, tolerate=()):
     """solve_exact spelled out: solve (solve_bisection or
-    solve_coordinate_descent) on every size-q support, the first strictly
-    smallest value wins.  Returns z, the value, the winning support, every
-    support's value (nan where its solve raised) and {support index: error}
-    for the solves that raised an error of a type in tolerate; any other
-    error propagates."""
+    solve_coordinate_descent) on every size-q support, a one-coordinate
+    support through _one_coordinate's closed form as solve_exact does; the
+    first strictly smallest value wins.  Returns z, the value, the winning
+    support, every support's value (nan where its solve raised) and
+    {support index: error} for the solves that raised an error of a type in
+    tolerate; any other error propagates."""
     qfp = sub.qfp
     q = min(sub.budget, qfp.dim)
     best_value, best_support, best_y = np.inf, None, None
     values, errors = [], {}
     for i, support in enumerate(combinations(range(qfp.dim), q)):
         try:
-            sol = solve(restrict(qfp, support))
+            restricted = restrict(qfp, support)
+            sol = subproblem._one_coordinate(restricted, solve) if q == 1 else solve(restricted)
         except tolerate as error:
             values.append(np.nan)
             errors[i] = error
@@ -367,9 +369,11 @@ def block_cases(draw, lower_bounds=st.none(), sizes=st.integers(2, 10)):
 
 
 def ranking_bounds(qfp, supports):
-    """The bound _ranked ranks each support by: with lower_bound == 0,
-    2^q faces in one stack and more than one support, its smallest face
-    infimum alone; elsewhere its pencil key."""
+    """The kind of bound _ranked ranks each support by: with
+    lower_bound == 0, 2^q faces in one stack and more than one support, its
+    smallest face infimum alone; elsewhere its pencil key.  _ranked itself
+    bounds no one-coordinate support and no lone support; the bounds are
+    lower bounds there all the same."""
     if qfp.lower_bound == 0.0 and 1 << supports.shape[1] <= RANK_CHUNK and len(supports) > 1:
         return _orthant_bounds(qfp, supports)
     return _pencil_keys(qfp, supports)
@@ -521,25 +525,66 @@ AT_INFINITY = [one_coordinate_block(-1.0, 0.0, 0.25, 0.0, 0.5),
                one_coordinate_block(-1.0, -0.5, 1.0, 0.5, 1.0)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(
-    block_cases(lower_bounds=st.sampled_from([None, 0.0, -1.0]), sizes=st.just(1)),
+    st.one_of(
+        block_cases(lower_bounds=st.sampled_from([None, 0.0, -1.0]), sizes=st.just(1)),
+        block_cases(lower_bounds=st.sampled_from([None, 0.0, -1.0]), sizes=st.integers(2, 4)).map(
+            lambda sub: dataclasses.replace(sub, budget=1)
+        ),
+    ),
     st.sampled_from(["bisection", "coordinate-descent"]),
 )
 @example(AT_INFINITY[0], "bisection")
 @example(AT_INFINITY[1], "bisection")
 @example(AT_INFINITY[1], "coordinate-descent")
 def test_one_coordinate_block_in_closed_form(sub, method):
-    # A 1x1 block is solved in closed form, or by the route's solver where
-    # the closed form defers to it (v = 0 when x_N = 0; on the bisection
-    # route, an infimum at infinity); either way its value is the route's
-    # lone-support solve.
+    # A one-coordinate support, a 1x1 block or one of a budget-1 block's,
+    # is solved in closed form, or by the route's solver where the closed
+    # form defers to it (v = 0 when x_N = 0; on the bisection route, an
+    # infimum at infinity); either way the block's value is that of a loop
+    # of the route's solver over its supports.
     bisection = method == "bisection" and sub.qfp.lower_bound is None
-    _, sol = _ranked(sub.qfp, 1, solve_bisection if bisection else solve_coordinate_descent)
+    solve = solve_bisection if bisection else solve_coordinate_descent
+    value_loop = np.nanmin([solve(restrict(sub.qfp, [i])).value for i in range(sub.qfp.dim)])
     z, value = solve_exact(sub, method)
-    assert abs(value - sol.value) <= 1e-12 * (1.0 + abs(value))
+    assert abs(value - value_loop) <= 1e-12 * (1.0 + abs(value))
+    assert np.count_nonzero(z) <= 1
     if sub.qfp.lower_bound is not None:
-        assert z[0] >= sub.qfp.lower_bound
+        assert np.all(z >= sub.qfp.lower_bound)
+
+
+@pytest.mark.parametrize("lower_bound", [None, 0.0])
+def test_pair_blocks_solve_no_one_coordinate_support_by_the_route_solver(monkeypatch, lower_bound):
+    # Polish's swap-pair blocks have k = 2 and budget 1, as here: one
+    # support coordinate and one zero, with three more support coordinates
+    # fixed outside (x_N != 0, so v > 0).  Both 1x1 supports are the 1-D
+    # program in closed form, which defers to neither solver here, so the
+    # route's solver is never called and no support is bounded.
+    problem = dataclasses.replace(build_pca(gen_randn(150, 50, 3)), s=4, lower_bound=lower_bound)
+    x = np.zeros(problem.dim)
+    x[[2, 5, 11, 17]] = [0.4, 0.3, 0.2, 0.1]
+    sub = build_block_subproblem(problem, x, np.array([2, 20]), 1e-5)
+    assert sub.budget == 1 and sub.qfp.v > 0.0
+    solve = solve_bisection if lower_bound is None else solve_coordinate_descent
+    calls = []
+
+    def counted(name, function):
+        def wrapped(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapped
+
+    for name, function in [
+        ("solve_bisection", solve_bisection), ("solve_coordinate_descent", solve_coordinate_descent),
+        ("_pencil_keys", _pencil_keys), ("_orthant_bounds", _orthant_bounds),
+    ]:
+        monkeypatch.setattr(subproblem, name, counted(name, function))
+    z, value = solve_exact(sub)
+    assert calls == []
+    values = [solve(restrict(sub.qfp, [i])).value for i in range(2)]
+    assert abs(value - min(values)) <= 1e-12 * (1.0 + abs(value))
+    assert np.count_nonzero(z) == 1 and z[int(np.argmin(values))] != 0.0
 
 
 def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
@@ -570,15 +615,18 @@ def test_ranking_prunes_coordinate_descent_supports(monkeypatch):
 @pytest.mark.parametrize("method, lower_bound", [
     ("bisection", None), ("coordinate-descent", None), ("bisection", 0.0),
 ])
-@pytest.mark.parametrize("k, q, keyed", [(2, 1, False), (2, 2, False), (3, 1, True)])
-def test_blocks_of_at_most_two_supports_compute_no_keys(monkeypatch, method, lower_bound, k, q, keyed):
-    # Keys would cost more than they can prune on one or two supports
-    # (polish's swap blocks have k = 2, q = 1): without a lower bound every
-    # support is solved.  With lower_bound = 0 the face infima rank every
-    # block of more than one support, and no block computes keys.  Either
-    # way the result is the per-support loop's.
+@pytest.mark.parametrize("k, q, over_two", [
+    (2, 1, False), (2, 2, False), (3, 1, True), (4, 1, True), (3, 3, False),
+])
+def test_blocks_of_at_most_two_supports_compute_no_keys(monkeypatch, method, lower_bound, k, q, over_two):
+    # No block of one-coordinate supports, however many (polish's swap
+    # blocks have k = 2, q = 1), and no block with a lone support computes
+    # a bound: each 1x1 support is the 1-D program in closed form, and a
+    # lone support has nothing to rank against.  Every support is solved,
+    # and the result is the per-support loop's.
     rng = np.random.default_rng(53)
     sub = BlockSubproblem(qfp=random_qfp(rng, k, lower_bound=lower_bound), budget=q)
+    assert (len(list(combinations(range(k), q))) > 2) == over_two
     keys, faces = [], []
 
     def counted(calls, bounds):
@@ -590,11 +638,7 @@ def test_blocks_of_at_most_two_supports_compute_no_keys(monkeypatch, method, low
     monkeypatch.setattr(subproblem, "_pencil_keys", counted(keys, _pencil_keys))
     monkeypatch.setattr(subproblem, "_orthant_bounds", counted(faces, _orthant_bounds))
     z, value = solve_exact(sub, method)
-    if lower_bound is None:
-        assert keys == ([3] if keyed else []) and faces == []
-    else:
-        total = len(list(combinations(range(k), q)))
-        assert keys == [] and faces == ([total] if total > 1 else [])
+    assert keys == [] and faces == []
     solve = solve_bisection if method == "bisection" and lower_bound is None else solve_coordinate_descent
     z_loop, value_loop = exact_by_loop(sub, solve)[:2]
     assert z.tobytes() == z_loop.tobytes() and value == value_loop

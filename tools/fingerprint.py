@@ -21,7 +21,9 @@ of the final objective.  The certificate is True, False or the name of the
 error it raised.  Two checkouts that print the same lines gave
 bit-identical results.  ``--compare FILE`` diffs the run against a saved
 output instead of printing it: per workload, the number of instances whose
-line differs (or is missing on one side) and their seeds and labels, and
+line differs (or is missing on one side), how many of those kept their
+steps, support, stop reason and certificate and the largest relative
+change of the final objective among them, then their seeds and labels;
 exit status 1 if any differs.  Only the workloads and seeds of the run are
 compared, so a run of fewer seeds checks a prefix of a longer file.
 Where the digests differ only because sums round differently, equal
@@ -87,9 +89,23 @@ def instance(line: str) -> tuple[str, ...]:
     return tuple(line.rsplit(" ", 6)[0].split(" ", 2))
 
 
+def path(line: str) -> tuple[str, ...]:
+    """(steps, support, stop reason, certificate) of an output line."""
+    _, steps, support, _, reason, cert = line.rsplit(" ", 6)[1:]
+    return steps, support, reason, cert
+
+
+def relative_change(line: str, saved: str) -> float:
+    """|f - f_saved| / max(|f|, |f_saved|) of two lines' final objectives."""
+    f, f_saved = float(line.rsplit(" ", 3)[1]), float(saved.rsplit(" ", 3)[1])
+    return 0.0 if f == f_saved else abs(f - f_saved) / max(abs(f), abs(f_saved))
+
+
 def compare(lines, saved) -> int:
     """Print, per workload of lines, how many instances differ from the
-    saved lines of the same workloads and seeds, and which; 1 if any does."""
+    saved lines of the same workloads and seeds, how many of those took the
+    same path and how far their objectives moved, and which differ; 1 if
+    any does."""
     run = {instance(line): line for line in lines}
     seeds = {key[:2] for key in run}
     old = {instance(line): line for line in saved if instance(line)[:2] in seeds}
@@ -99,6 +115,13 @@ def compare(lines, saved) -> int:
         mine = [key for key in keys if key[0] == name]
         diff = [key for key in mine if run.get(key) != old.get(key)]
         print(f"{name}: {len(diff)} of {len(mine)} instances differ")
+        kept = [key for key in diff if key in run and key in old and path(run[key]) == path(old[key])]
+        if diff:
+            change = max((relative_change(run[key], old[key]) for key in kept), default=None)
+            print(
+                f"  {len(kept)} of {len(diff)} keep steps, support, stop reason and certificate"
+                + ("" if change is None else f"; largest relative objective change {change:.2g}")
+            )
         for key in diff:
             print("  " + " ".join(key[1:]))
         differ += len(diff)

@@ -49,6 +49,7 @@ DEFAULTS = {
     for option, name in _CONFIG_FIELDS.items()
 }
 
+_SOLVERS = ("dec-b", "dec-c", "tpm", "trf")
 _CONFIG_ERRORS = (ConfigError, InvalidK, InsufficientCoordinates, RequiresIdentityC)
 _DATA_ERRORS = (
     ParseError, EmptyFile, DegenerateData, SingleClass, DimensionMismatch, OSError,
@@ -200,9 +201,16 @@ def _bench_one(payload):
 
 
 def cmd_bench(args) -> int:
-    data = load_dataset(args)
+    # Both lists are checked before the first job runs.
     solvers = [token.strip() for token in args.solvers.split(",") if token.strip()]
-    s_list = [int(token) for token in args.s_list.split(",")]
+    if not solvers or not set(solvers) <= set(_SOLVERS):
+        raise ConfigError(f"--solvers expects a comma-separated list of {', '.join(_SOLVERS)}, "
+                          f"got {args.solvers!r}")
+    try:
+        s_list = [int(token) for token in args.s_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--s-list expects comma-separated integers, got {args.s_list!r}") from None
+    data = load_dataset(args)
     params = {option: getattr(args, option) for option in _CONFIG_FIELDS}
     params["seed"] = args.seed
     jobs = [
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one solver on one problem")
     _add_data_args(solve)
     solve.add_argument("--app", choices=("pca", "fda", "cca"), required=True)
-    solve.add_argument("--solver", choices=("dec-b", "dec-c", "tpm", "trf"), required=True)
+    solve.add_argument("--solver", choices=_SOLVERS, required=True)
     solve.add_argument("--s", type=int, required=True)
     _add_solver_args(solve)
     solve.add_argument("--out", type=Path)

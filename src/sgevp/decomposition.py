@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, inf, isnan
 
 import numpy as np
 
@@ -64,8 +64,16 @@ class DecompositionConfig:
             raise ConfigError("random_count + swap_count must equal k")
         if self.swap_count % 2 != 0:
             raise ConfigError("swap count must be even")
-        if self.theta < 0:
-            raise ConfigError("theta must be nonnegative")
+        # Written as what is valid, so that a NaN, which fails every
+        # comparison, is rejected.
+        if not 0.0 <= self.theta < inf:
+            raise ConfigError("theta must be finite and nonnegative")
+        if isnan(self.epsilon):
+            raise ConfigError("epsilon must not be NaN")
+        if self.max_iters < 0:
+            raise ConfigError("max_iters must be nonnegative")
+        if self.time_limit is not None and not self.time_limit >= 0.0:
+            raise ConfigError("time_limit must be nonnegative")
         if self.window < 1:
             raise ConfigError("window must be at least 1")
         if self.subsolver not in ("bisection", "coordinate-descent"):

@@ -10,9 +10,9 @@ pi/2 b^2 + theta b + iota = 0 with
 
 and the global minimizer over [lower, inf) is the better of the two
 (clamped) roots.  This is the only module that forms that quadratic:
-solve_1d_core is the scalar kernel (coordinate descent, one-coordinate
-blocks, face bounds) and solve_1d_values its batched twin (swap scoring
-and the block-2 certificate).
+solve_1d_core is the scalar kernel (coordinate descent and one-coordinate
+supports) and solve_1d_values its batched twin (swap scoring and the
+block-2 certificate).
 """
 
 from __future__ import annotations
@@ -159,31 +159,3 @@ def solve_1d_values(a, b, c, r, s, t, lower=None) -> np.ndarray:
         cand = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
         values = np.minimum(cand[0], cand[1])
     return np.where(disc < 0.0, limit, values)
-
-
-def infimum_positive(a: float, b: float, c: float, r: float, s: float, t: float) -> float:
-    """Infimum of psi over beta > 0, or -inf where it cannot be trusted.
-
-    It is the smaller of the limit a/r at infinity and the better clamped
-    stationary point of solve_1d_core with lower = 0; with the value at 0,
-    psi(0) = c/t, it is the infimum over [0, inf).  That needs a
-    denominator positive on [0, inf) (t > 0, and s >= 0 or s^2 < 2 r t).
-    With t = 0 and s = 0 (a block with x_N = 0) and c > 0, psi tends to
-    +inf at 0 and, in z = 1/beta, is a/r + 2 (b z + c z^2) / r, whose
-    minimum over z > 0 is a/r - b^2 / (2 c r) where b < 0.
-    """
-    if not r > 0.0:
-        return -math.inf
-    if t > 0.0 and (s >= 0.0 or s * s < 2.0 * r * t):
-        try:
-            value = solve_1d_core(a, b, c, r, s, t, 0.0)[1]
-        except UnboundedBelow:  # no stationary point: the infimum is at 0 or at infinity
-            value = math.inf
-        except DegenerateDenominator:
-            return -math.inf
-        value = min(value, a / r)
-    elif t == 0.0 and s == 0.0 and c > 0.0:
-        value = a / r - (b * b / (2.0 * c * r) if b < 0.0 else 0.0)
-    else:
-        return -math.inf
-    return value if not math.isnan(value) else -math.inf

@@ -208,9 +208,9 @@ def _secular_matrix(O, g, delta):
 
 def face_infima(Q, p, w: float, R, c, v: float) -> np.ndarray:
     """Smallest candidate value of each stacked QFP over y > 0 (a face of a
-    support, at least two coordinates), or -inf where the candidates cannot
+    support, one coordinate or more), or -inf where the candidates cannot
     be trusted.  Over the faces of a support, the smallest of these values
-    and of its empty and one-coordinate faces is the infimum over y >= 0.
+    and of its empty face (y = 0) is the infimum over y >= 0.
 
     A face's candidates are its critical points with y >= 0 and its
     directions at infinity d >= 0.  The critical points are the eigenpairs

@@ -7,9 +7,9 @@ are sums over T = supp(x) minus B, the only nonzeros of x_N, so assembling
 a block costs O(k s + s^2), not O(n^2).  The solver enumerates supports of
 size min(q, k) (support monotonicity makes the smaller sizes redundant) and
 solves each restricted quadratic fractional program globally.  A
-one-coordinate support, a whole block or one of many, is the 1-D program
-and is solved in closed form wherever the route's solver would return the
-same value up to rounding (_one_coordinate).
+one-coordinate support, a whole block or one of many, is the 1-D program,
+read from the block and solved in closed form wherever the route's solver
+would return the same value up to rounding (_one_coordinate).
 
 Each support of q >= 2 coordinates gets one lower bound on the value its
 solver returns, all before any support is solved; the supports are solved
@@ -29,11 +29,10 @@ of two:
   at 0, empty face included.  A face's infimum is its smallest critical
   value with y >= 0 or its smallest limit along a direction d >= 0 at
   infinity, both eigenvalues of the face's whitened pencils
-  (qfp.face_infima), and for one coordinate the 1-D program
-  (fractional1d.infimum_positive).  It lies far closer to coordinate
-  descent's value than the key, so fewer supports are solved.  A support
-  of q coordinates has 2^q faces, so only supports of at most 8 (one stack
-  of RANK_CHUNK faces) are ranked this way; larger ones keep the key.
+  (qfp.face_infima).  It lies far closer to coordinate descent's value
+  than the key, so fewer supports are solved.  A support of q coordinates
+  has 2^q faces, so only supports of at most 8 (one stack of RANK_CHUNK
+  faces) are ranked this way; larger ones keep the key.
 
 A bound only ranks: the route's solver, solve_bisection (the reference
 solver) or solve_coordinate_descent, still solves every support that can
@@ -53,7 +52,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import DegenerateDenominator, UnboundedBelow
-from .fractional1d import infimum_positive, solve_1d_core
+from .fractional1d import solve_1d_core
 from .qfp import (
     Certificate,
     QfpSolution,
@@ -139,7 +138,7 @@ def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.nda
     bisection = method == "bisection" and qfp.lower_bound is None
     solve = solve_bisection if bisection else solve_coordinate_descent
     if k == 1:
-        best = _one_coordinate(qfp, solve)
+        best = _one_coordinate(qfp, 0, solve)
         return best.y, float(best.value)
     support, best = _ranked(qfp, q, solve)
     z = np.zeros(k)
@@ -147,35 +146,36 @@ def solve_exact(sub: BlockSubproblem, method: str = "bisection") -> tuple[np.nda
     return z, float(best.value)
 
 
-def _one_coordinate(qfp: QfpSubproblem, solve) -> QfpSolution:
-    """solve(qfp) of a one-coordinate QFP, in closed form where it applies.
+def _one_coordinate(qfp: QfpSubproblem, i, solve) -> QfpSolution:
+    """solve of the support {i} of a block, in closed form where it applies.
 
-    The QFP is the 1-D fractional program that solve_1d_core minimizes.
-    solve (solve_bisection or solve_coordinate_descent) decides where the
-    denominator is not positive everywhere (v = 0 when x_N = 0), where the
-    kernel raises or its point overflows the denominator, and, on the
-    bisection route, where the limit Q/R at infinity lies below the
-    kernel's value: solve_bisection then escapes towards infinity.  On the
-    coordinate-descent route the result is coordinate descent's first move
-    from y = 0, taken only if it lowers the value below w/v; the full solve
-    can still move it by an ulp, so the two agree to rounding, not bit for
-    bit.
+    The support's QFP is the 1-D fractional program that solve_1d_core
+    minimizes, read from the block in place.  solve (solve_bisection or
+    solve_coordinate_descent), on the support copied out of the block,
+    decides where the denominator is not positive everywhere (v = 0 when
+    x_N = 0), where the kernel raises or its point overflows the
+    denominator, and, on the bisection route, where the limit Q/R at
+    infinity lies below the kernel's value: solve_bisection then escapes
+    towards infinity.  On the coordinate-descent route the result is
+    coordinate descent's first move from y = 0, taken only if it lowers the
+    value below w/v; the full solve can still move it by an ulp, so the two
+    agree to rounding, not bit for bit.
     """
     Q, p, R, c, w, v = (
-        float(qfp.Q[0, 0]), float(qfp.p[0]), float(qfp.R[0, 0]), float(qfp.c[0]), qfp.w, qfp.v,
+        float(qfp.Q[i, i]), float(qfp.p[i]), float(qfp.R[i, i]), float(qfp.c[i]), qfp.w, qfp.v,
     )
     if not 2.0 * v * R > c * c:
-        return solve(qfp)
+        return solve(_restrict(qfp, [i]))
     lower = -math.inf if qfp.lower_bound is None else qfp.lower_bound
     try:
         beta, value = solve_1d_core(Q, p, w, R, c, v, lower)
     except (UnboundedBelow, DegenerateDenominator):
-        return solve(qfp)
+        return solve(_restrict(qfp, [i]))
     if not 0.5 * R * beta * beta + c * beta + v < math.inf:
-        return solve(qfp)
+        return solve(_restrict(qfp, [i]))
     bisection = solve is solve_bisection
     if bisection and Q / R < value:
-        return solve(qfp)
+        return solve(_restrict(qfp, [i]))
     if not bisection and not (beta != 0.0 and value < w / v):
         beta, value = 0.0, w / v
     return QfpSolution(
@@ -238,8 +238,10 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     for i in np.argsort(bounds, kind="stable"):
         if bounds[i] > best_value + RANK_BAND * (1.0 + abs(best_value)):
             break
-        restricted = _restrict(qfp, supports[i])
-        solved[i] = _one_coordinate(restricted, solve) if q == 1 else solve(restricted)
+        if q == 1:
+            solved[i] = _one_coordinate(qfp, supports[i, 0], solve)
+        else:
+            solved[i] = solve(_restrict(qfp, supports[i]))
         # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
         best_value = min(best_value, solved[i].value)
     # The first of equal values wins; nan ranks last.
@@ -259,39 +261,38 @@ def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
 
     It is the smallest infimum over y > 0 on the support's faces, the
     sub-supports, empty face included.  The empty face is the point y = 0,
-    with value w/v; a one-coordinate face is the 1-D program
-    (fractional1d.infimum_positive); larger faces are computed stacked per
-    size (qfp.face_infima), only those under the given supports.  A face
-    that cannot be trusted reads -inf, which leaves its supports unranked:
-    _ranked solves them first.  The faces under the supports are held per
-    size as a sorted array of bitmasks and, aligned with it, the smallest
-    face infimum under each, filled size by size from the faces one
-    smaller (looked up with searchsorted): memory scales with the faces
-    used, at most C(k, size) of a size, not with the 2^k masks.
+    with value w/v, mask 0; every other face, one coordinate or more, is
+    computed stacked per size (qfp.face_infima), only those under the
+    given supports.  A face that cannot be trusted reads -inf, which leaves
+    its supports unranked: _ranked solves them first.  The faces under the
+    supports are held per size as a sorted array of bitmasks and, aligned
+    with it, the smallest face infimum under each, filled size by size from
+    the faces one smaller (looked up with searchsorted), from the empty
+    face up: memory scales with the faces used, at most C(k, size) of a
+    size, not with the 2^k masks.
     """
     k, q = qfp.dim, supports.shape[1]
     w, v = qfp.w, qfp.v
     # y = 0 is a point only where v > 0; with v <= 0 the ratio tends to +inf
     # towards y = 0 if w > 0 and cannot be bounded otherwise.
     empty = w / v if v > 0.0 else (math.inf if w > 0.0 else -math.inf)
-    Q, p, R, c = np.diag(qfp.Q).tolist(), qfp.p.tolist(), np.diag(qfp.R).tolist(), qfp.c.tolist()
-    single = np.minimum(empty, [infimum_positive(Q[i], p[i], w, R[i], c[i], v) for i in range(k)])
     bits = 1 << np.arange(k)
     support_masks = bits[supports].sum(axis=1)
     levels, masks = [], np.unique(support_masks)
-    for size in range(q, 1, -1):
+    for size in range(q, 0, -1):
         levels.append(masks)
         masks = np.unique(_drop_one(masks, bits, size))
-    # (masks, values): the faces of one size, from the singles upwards.
-    masks, values = bits, single
-    for size, upper in enumerate(reversed(levels), start=2):
+    # (masks, values): the faces of one size, from the empty face (masks is
+    # now [0]) upwards.
+    values = np.array([empty])
+    for size, upper in enumerate(reversed(levels), start=1):
         below = values[np.searchsorted(masks, _drop_one(upper, bits, size))].min(axis=1)
         infima = []
         for start in range(0, upper.size, RANK_CHUNK):
             faces = np.nonzero(upper[start:start + RANK_CHUNK, None] & bits)[1].reshape(-1, size)
             S, T = faces[:, :, None], faces[:, None, :]
             infima.append(
-                face_infima(qfp.Q[S, T], qfp.p[faces], qfp.w, qfp.R[S, T], qfp.c[faces], qfp.v)
+                face_infima(qfp.Q[S, T], qfp.p[faces], w, qfp.R[S, T], qfp.c[faces], v)
             )
         masks, values = upper, np.minimum(np.concatenate(infima), below)
     return values[np.searchsorted(masks, support_masks)]

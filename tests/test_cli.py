@@ -99,6 +99,37 @@ def test_solve_randn_source(tmp_path):
     assert json.loads(out.read_text())["solver"] == "tpm"
 
 
+def test_solve_nan_theta_is_a_configuration_error(tmp_path, capsys):
+    # A NaN theta used to pass validation and end in a numerical error
+    # (exit 4) deep inside a block solve.
+    data = gen_dataset(tmp_path, d=10)
+    assert run(["solve", "--data", str(data), "--labeled", "--app", "pca", "--solver", "dec-b",
+                "--s", "3", "--k", "4", "--random", "2", "--swap", "2", "--theta", "nan"]) == 2
+    assert "theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--s-list", "3,x"), ("--s-list", ","), ("--solvers", ","), ("--solvers", "dec-b,foo"),
+])
+def test_bench_malformed_list_is_a_configuration_error(tmp_path, monkeypatch, capsys, option, value):
+    # Both lists are checked before the first job runs: no job runs and
+    # nothing is written.
+    from sgevp import cli
+
+    data = gen_dataset(tmp_path)
+    jobs = []
+    monkeypatch.setattr(cli, "_bench_one", lambda payload: jobs.append(payload))
+    lists = {"--solvers": "dec-b", "--s-list": "2,4", option: value}
+    outdir = tmp_path / "out"
+    args = ["bench", "--data", str(data), "--labeled", "--app", "pca", "--k", "6",
+            "--random", "4", "--swap", "2", "--outdir", str(outdir)]
+    for name, text in lists.items():
+        args += [name, text]
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert jobs == [] and not outdir.exists()
+
+
 def test_bench_outputs_and_determinism(tmp_path):
     data = gen_dataset(tmp_path)
     args = ["bench", "--data", str(data), "--labeled", "--app", "pca",

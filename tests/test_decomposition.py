@@ -111,6 +111,22 @@ def test_config_validation():
             DecompositionConfig(k=4, **bad).validate(problem)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("theta", np.nan), ("theta", np.inf), ("epsilon", np.nan),
+    ("time_limit", np.nan), ("time_limit", -1.0), ("max_iters", -3),
+])
+def test_config_rejects_a_nan_or_out_of_range_value(field, value):
+    # A NaN passed every `< 0` test: a NaN theta failed deep inside a block
+    # solve, and a NaN epsilon turned the stopping rule off.  max_iters = -3
+    # ran no step.  time_limit = 0 and max_iters = 0 (polish only) stay valid.
+    problem = ProblemInstance(A=np.eye(6), C=np.eye(6), s=2)
+    base = dict(k=4, random_count=2, swap_count=2)
+    for valid in (dict(time_limit=0.0), dict(time_limit=np.inf), dict(max_iters=0)):
+        DecompositionConfig(**base, **valid).validate(problem)
+    with pytest.raises(ConfigError):
+        DecompositionConfig(**base, **{field: value}).validate(problem)
+
+
 def test_diagonal_instance_reaches_optimum():
     problem = ProblemInstance(A=np.diag([5.0, 1.0, 3.0, 2.0]), C=np.eye(4), s=2)
     trace = solve(problem, DecompositionConfig(k=4, random_count=2, swap_count=2))

@@ -9,7 +9,6 @@ from sgevp.errors import DegenerateDenominator, UnboundedBelow
 from sgevp.fractional1d import (
     _TIE_TOL,
     OneDimCoefficients,
-    infimum_positive,
     solve_1d,
     solve_1d_core,
     solve_1d_values,
@@ -256,31 +255,6 @@ def test_huge_stationary_root_is_not_dropped():
     assert (sol.beta, sol.value) == (beta, value)
     batched = solve_1d_values(*(np.array([v]) for v in (1.0, 1e-170, 2.0, 1.0, 2e-170, 1.0)))
     assert batched.tolist() == [value]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=3),
-    st.integers(1, 3).map(float),
-    st.one_of(
-        st.just((0.0, 0.0)),
-        st.tuples(st.integers(-2, 2).map(float), st.integers(1, 4).map(float)),
-    ),
-)
-def test_infimum_positive_is_the_infimum_over_positive_beta(num, r, den):
-    # A lower bound on psi at every beta > 0, and the infimum: a log grid
-    # out to 1e8 comes within 1e-6 of it.  (s, t) = (0, 0) is a block with
-    # x_N = 0, where psi tends to +inf at 0 (c > 0) or the bound is -inf.
-    a, b, c = num
-    s, t = den
-    value = infimum_positive(a, b, c, r, s, t)
-    if t == 0.0 and c <= 0.0 or t > 0.0 and s < 0.0 and s * s >= 2.0 * r * t:
-        assert value == -math.inf
-        return
-    grid = np.concatenate([np.geomspace(1e-8, 1e8, 20001), np.linspace(1e-3, 10.0, 20001)])
-    psi = (0.5 * a * grid * grid + b * grid + c) / (0.5 * r * grid * grid + s * grid + t)
-    assert value <= psi.min() + 1e-12 * (1.0 + abs(psi.min()))
-    assert value >= psi.min() - 1e-6 * (1.0 + abs(psi.min()))
 
 
 def batched_oracle(a, b, c, r, s, t, lower):

@@ -5,6 +5,9 @@ imports included, so a cycle cannot hide inside a function body.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sgevp
@@ -141,3 +144,16 @@ def test_every_imported_name_is_used():
     assert unused_imports(sample) == ["a: os", "a: keys"]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert set(unused_imports(sources)) == TRACED_IMPORTS
+
+
+def test_import_sgevp_loads_neither_scipy_nor_the_cli():
+    # `import sgevp` is most of a run's set-up time, and importing
+    # scipy.linalg costs about as much as the rest of it, so the package
+    # imports scipy only inside the function that needs it, and the CLI
+    # (with its process pool) only when it is run.
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, sgevp; print(sorted(m for m in ('scipy', 'sgevp.cli') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

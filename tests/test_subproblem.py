@@ -322,7 +322,7 @@ def exact_by_loop(sub, solve=solve_bisection, tolerate=()):
     for i, support in enumerate(combinations(range(qfp.dim), q)):
         try:
             restricted = restrict(qfp, support)
-            sol = subproblem._one_coordinate(restricted, solve) if q == 1 else solve(restricted)
+            sol = subproblem._one_coordinate(restricted, 0, solve) if q == 1 else solve(restricted)
         except tolerate as error:
             values.append(np.nan)
             errors[i] = error
@@ -512,6 +512,40 @@ def test_face_infimum_keeps_an_eigenvalue_it_cannot_resolve():
     assert value[0] == pytest.approx(-1.0, abs=1e-12)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=3),
+    st.integers(1, 3).map(float),
+    st.one_of(
+        st.just((0.0, 0.0)),
+        st.tuples(st.integers(-2, 2).map(float), st.integers(1, 4).map(float)),
+    ),
+)
+def test_one_coordinate_face_infimum_is_the_infimum_over_positive_beta(num, r, den):
+    # A one-coordinate face of psi = (a/2 b^2 + b_lin b + c) / (r/2 b^2 +
+    # s b + t), combined with the empty face b = 0 as _orthant_bounds
+    # combines them: a lower bound on psi at every b > 0, and the infimum:
+    # a log grid out to 1e8 comes within 1e-6 of it.  It is finite wherever
+    # [[r, s], [s, 2t]] is positive definite, and at (s, t) = (0, 0) with
+    # c > 0, a block with x_N = 0, where psi tends to +inf at 0.
+    a, b, c = num
+    s, t = den
+    empty = c / t if t > 0.0 else (np.inf if c > 0.0 else -np.inf)
+    face = face_infima(np.array([[[a]]]), np.array([[b]]), c, np.array([[[r]]]), np.array([[s]]), t)
+    value = min(float(face[0]), empty)
+    if 2.0 * r * t > s * s or t == 0.0 and c > 0.0:
+        assert np.isfinite(value)
+    if value == -np.inf:
+        return
+    grid = np.concatenate([np.geomspace(1e-8, 1e8, 20001), np.linspace(1e-3, 10.0, 20001)])
+    # Where [[r, s], [s, 2t]] is singular, the denominator can touch 0 at a
+    # grid point, which lies outside psi's domain.
+    d = 0.5 * r * grid * grid + s * grid + t
+    psi = np.where(d > 0.0, (0.5 * a * grid * grid + b * grid + c) / np.where(d > 0.0, d, 1.0), np.inf)
+    assert value <= psi.min() + 1e-12 * (1.0 + abs(psi.min()))
+    assert value >= psi.min() - 1e-6 * (1.0 + abs(psi.min()))
+
+
 def one_coordinate_block(Q, p, w, c, v):
     qfp = QfpSubproblem(
         Q=np.array([[Q]]), p=np.array([p]), w=w, R=np.eye(1), c=np.array([c]), v=v,
@@ -559,8 +593,9 @@ def test_pair_blocks_solve_no_one_coordinate_support_by_the_route_solver(monkeyp
     # Polish's swap-pair blocks have k = 2 and budget 1, as here: one
     # support coordinate and one zero, with three more support coordinates
     # fixed outside (x_N != 0, so v > 0).  Both 1x1 supports are the 1-D
-    # program in closed form, which defers to neither solver here, so the
-    # route's solver is never called and no support is bounded.
+    # program in closed form, read from the block in place, which defers
+    # to neither solver here: the route's solver is never called, no
+    # support is copied out of the block and no support is bounded.
     problem = dataclasses.replace(build_pca(gen_randn(150, 50, 3)), s=4, lower_bound=lower_bound)
     x = np.zeros(problem.dim)
     x[[2, 5, 11, 17]] = [0.4, 0.3, 0.2, 0.1]
@@ -578,6 +613,7 @@ def test_pair_blocks_solve_no_one_coordinate_support_by_the_route_solver(monkeyp
     for name, function in [
         ("solve_bisection", solve_bisection), ("solve_coordinate_descent", solve_coordinate_descent),
         ("_pencil_keys", _pencil_keys), ("_orthant_bounds", _orthant_bounds),
+        ("_restrict", subproblem._restrict),
     ]:
         monkeypatch.setattr(subproblem, name, counted(name, function))
     z, value = solve_exact(sub)

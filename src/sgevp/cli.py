@@ -120,7 +120,7 @@ def build_problem(app: str, data: problems.Dataset, s: int) -> decomposition.Pro
     return dataclasses.replace(base, s=s)
 
 
-def run_solver(problem, solver: str, s: int, args) -> decomposition.SolveTrace:
+def run_solver(problem, solver: str, args) -> decomposition.SolveTrace:
     if solver in ("dec-b", "dec-c"):
         config = decomposition.DecompositionConfig(
             **{name: getattr(args, option) for option, name in _CONFIG_FIELDS.items()},
@@ -130,9 +130,9 @@ def run_solver(problem, solver: str, s: int, args) -> decomposition.SolveTrace:
         return decomposition.solve(problem, config)
     cfg = baselines.BaselineConfig(max_iters=args.max_iters)
     if solver == "tpm":
-        return baselines.truncated_power_method(problem, s, cfg)
+        return baselines.truncated_power_method(problem, problem.s, cfg)
     if solver == "trf":
-        return baselines.truncated_rayleigh_flow(problem, s, cfg)
+        return baselines.truncated_rayleigh_flow(problem, problem.s, cfg)
     raise ConfigError(f"unknown solver {solver!r}")
 
 
@@ -180,7 +180,7 @@ def cmd_gen_data(args) -> int:
 def cmd_solve(args) -> int:
     data = load_dataset(args)
     problem = build_problem(args.app, data, args.s)
-    trace = run_solver(problem, args.solver, args.s, args)
+    trace = run_solver(problem, args.solver, args)
     payload = trace_to_json(trace, args.solver, args, data.name, args.fixed_timing)
     if args.out:
         atomic_write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -192,16 +192,14 @@ def cmd_solve(args) -> int:
 
 
 def _bench_one(payload):
-    (app, X, y, name, solver, s, params) = payload
-    data = problems.Dataset(X=X, y=y, name=name)
-    problem = build_problem(app, data, s)
-    ns = argparse.Namespace(**params, s=s)
-    trace = run_solver(problem, solver, s, ns)
-    return solver, s, trace
+    (problem, solver, params) = payload
+    trace = run_solver(problem, solver, argparse.Namespace(**params))
+    return solver, problem.s, trace
 
 
 def cmd_bench(args) -> int:
-    # Both lists are checked before the first job runs.
+    # Both lists, and every sparsity against the problem, are checked before
+    # the first job runs.
     solvers = [token.strip() for token in args.solvers.split(",") if token.strip()]
     if not solvers or not set(solvers) <= set(_SOLVERS):
         raise ConfigError(f"--solvers expects a comma-separated list of {', '.join(_SOLVERS)}, "
@@ -211,12 +209,10 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise ConfigError(f"--s-list expects comma-separated integers, got {args.s_list!r}") from None
     data = load_dataset(args)
+    instances = {s: build_problem(args.app, data, s) for s in s_list}
     params = {option: getattr(args, option) for option in _CONFIG_FIELDS}
     params["seed"] = args.seed
-    jobs = [
-        (args.app, data.X, data.y, data.name, solver, s, params)
-        for solver in solvers for s in s_list
-    ]
+    jobs = [(instances[s], solver, params) for solver in solvers for s in s_list]
     threads = int(os.environ.get("SGEVP_THREADS", "1"))
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -15,13 +15,15 @@ Two routes:
   coordinate-wise minimum.  Each move updates the numerator, denominator
   and gradients in O(m), on Python floats.
 
-``assemble_reduced``, the batched support ranking ``pencil_keys`` and the
-face infima over y >= 0 that rank bounded supports, ``face_infima``, share
-one stacked change of variables, ``_whiten``.  Where R is exactly the
-identity (every block of a PCA problem, where C = I), L = I and the change
-of variables is a no-op: ``_whiten`` forms no factor, inverse or product
-with it, and ``assemble_reduced`` skips the positive-definiteness check,
-with results bit-identical to the general route.
+``assemble_reduced``, the batched support ranking ``pencil_keys``, the
+face infima over y >= 0 that rank bounded supports, ``face_infima``, and
+coordinate descent's start where the denominator vanishes at y = 0 (the
+bottom generalized eigenvector of (Q, R)) share one stacked change of
+variables, ``_whiten``.  Where R is exactly the identity (every block of a
+PCA problem, where C = I), L = I and the change of variables is a no-op:
+``_whiten`` forms no factor, inverse or product with it, and
+``assemble_reduced`` skips the positive-definiteness check, with results
+bit-identical to the general route.
 """
 
 from __future__ import annotations
@@ -453,11 +455,11 @@ def _cd_start(q: QfpSubproblem) -> np.ndarray:
     if q.denominator(y0) > 0:
         return y0
     # Denominator vanishes at the natural start (gamma == 0 case); fall back
-    # to the bottom generalized eigenvector of (Q, R), clamped to the bound.
-    import scipy.linalg
-
-    _, vecs = scipy.linalg.eigh(q.Q, q.R, subset_by_index=[0, 0])
-    y0 = vecs[:, 0]
+    # to the bottom generalized eigenvector of (Q, R), clamped to the bound:
+    # y = L^{-T} e with e the bottom eigenvector of O = L^{-1} Q L^{-T}, so
+    # that y'Ry = |e|^2 = 1.
+    L_inv, O, _, _, _ = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
+    y0 = L_inv[0].T @ np.linalg.eigh(O[0])[1][:, 0]
     if lb is not None:
         y0 = np.maximum(np.abs(y0), lb) if lb >= 0 else np.maximum(y0, lb)
     if q.denominator(y0) <= 0:

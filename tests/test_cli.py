@@ -109,11 +109,12 @@ def test_solve_nan_theta_is_a_configuration_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--s-list", "3,x"), ("--s-list", ","), ("--solvers", ","), ("--solvers", "dec-b,foo"),
+    ("--s-list", "3,x"), ("--s-list", ","), ("--s-list", "2,3,13"), ("--solvers", ","),
+    ("--solvers", "dec-b,foo"),
 ])
 def test_bench_malformed_list_is_a_configuration_error(tmp_path, monkeypatch, capsys, option, value):
-    # Both lists are checked before the first job runs: no job runs and
-    # nothing is written.
+    # Both lists, and every sparsity against the problem's 12 features, are
+    # checked before the first job runs: no job runs and nothing is written.
     from sgevp import cli
 
     data = gen_dataset(tmp_path)

@@ -146,14 +146,53 @@ def test_every_imported_name_is_used():
     assert set(unused_imports(sources)) == TRACED_IMPORTS
 
 
+def scipy_imports(sources: dict[str, str]) -> list[str]:
+    """'module: name' for every import of scipy or a scipy submodule in a
+    module (name -> source), function-local imports included."""
+    found = []
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{name}: {target}" for target in names if target.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests and the
+    # benchmark as a dense oracle.
+    sample = {"a": "import numpy\ndef f():\n    import scipy.linalg\n    from scipy import sparse\n"}
+    assert scipy_imports(sample) == ["a: scipy.linalg", "a: scipy"]
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert scipy_imports(sources) == []
+
+
 def test_import_sgevp_loads_neither_scipy_nor_the_cli():
-    # `import sgevp` is most of a run's set-up time, and importing
-    # scipy.linalg costs about as much as the rest of it, so the package
-    # imports scipy only inside the function that needs it, and the CLI
-    # (with its process pool) only when it is run.
+    # `import sgevp` is most of a run's set-up time, so the package loads
+    # neither scipy, which it does not use, nor the CLI (with its process
+    # pool), which loads only when it is run.  The two solves reach
+    # coordinate descent's start at a vanishing denominator: their first
+    # block covers every coordinate (k = n, so x_N = 0), one with
+    # lower_bound = 0 and one with the coordinate-descent subsolver.
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import sys, sgevp; print(sorted(m for m in ('scipy', 'sgevp.cli') if m in sys.modules))"
+    code = """
+import sys
+import numpy as np
+import sgevp
+G = np.random.default_rng(0).standard_normal((6, 6))
+A, C = -(G @ G.T) / 6, G.T @ G / 6 + np.eye(6)
+for bound, subsolver in ((0.0, "bisection"), (None, "coordinate-descent")):
+    problem = sgevp.ProblemInstance(A=A, C=C, s=3, lower_bound=bound)
+    config = sgevp.DecompositionConfig(k=6, random_count=4, swap_count=2, subsolver=subsolver,
+                                       max_iters=2)
+    sgevp.solve(problem, config)
+print(sorted(m for m in ("scipy", "sgevp.cli") if m in sys.modules))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

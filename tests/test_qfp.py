@@ -375,25 +375,26 @@ def cd_qfp(Q, p, w, R, c, v, lower_bound=None):
 
 
 TINY = 5.6e-309
-# One QFP per path of the loop (found by a random search over small integer
-# QFPs, except the overflow QFP of the test above), with its start.
+# One QFP per path of the loop (found by a random search over small QFPs with
+# entries in multiples of 0.5, except the overflow QFP of the test above),
+# with its start.
 CD_PATHS = {
     "eigenvector start": (cd_qfp([[-1.0]], [3.0], -3.0, [[1.5]], [0.0], 0.0, 0.0), None),
     "exact": (cd_qfp([[-1.0]], [3.0], -3.0, [[1.5]], [0.0], 0.0, 0.0), None),
     "UnboundedBelow": (cd_qfp([[3.0]], [3.0], 0.0, [[1.5]], [0.0], 0.0, 0.0), None),
     "DegenerateDenominator": (cd_qfp([[2.0]], [2.0], -1.0, [[0.5]], [0.0], 0.0), None),
     "zero denominator": (cd_qfp(
-        [[-2.0, 0.5], [0.5, -3.0]], [-1.0, 0.0], -1.0, [[3.0, -1.0], [-1.0, 4.5]],
+        [[2.0, 1.0], [1.0, 1.0]], [1.0, 1.5], -0.5, [[4.5, 2.0], [2.0, 3.0]],
         [0.0, 0.0], 0.0, 0.0,
     ), None),
     "overflow": (cd_qfp(
         [[1e-5, TINY], [TINY, 1e-5]], [0.0, 0.0], 2e-5, np.eye(2) / 2, [0.0, 0.0], 0.0,
     ), None),
-    # A move lands exactly on y = 0, where the O(1) denominator reads 6e-33:
+    # A move lands exactly on y = 0, where the O(1) denominator reads 6.5e-32:
     # both loops end there and return the last point whose denominator was
-    # evaluated exactly, y = (0, 1.1e-16).
+    # evaluated exactly, y = (1.7e-15, 4.2e-15).
     "zero denominator at the end": (cd_qfp(
-        [[-1.0, -1.5], [-1.5, -3.0]], [3.0, 3.0], -2.0, [[3.0, -3.0], [-3.0, 4.5]],
+        [[-2.0, 0.0], [0.0, -2.0]], [-1.0, 1.0], -1.0, [[4.5, -2.0], [-2.0, 3.5]],
         [0.0, 0.0], 0.0, 0.0,
     ), None),
     # The unbounded infimum lies at infinity: the sweeps never settle.
@@ -416,12 +417,30 @@ def test_cd_equals_the_numpy_loop_on_each_path(path):
 
 
 def test_cd_ends_at_a_point_with_an_exact_positive_denominator():
-    # The O(1) update read 6.2e-33 at y = 0, where the denominator is 0; the
+    # The O(1) update read 6.5e-32 at y = 0, where the denominator is 0; the
     # solver used to raise DegenerateDenominator from its final value.
     q = CD_PATHS["zero denominator at the end"][0]
     sol = solve_coordinate_descent(q)
     assert q.denominator(sol.y) > 0.0 and np.all(sol.y >= 0.0)
     assert sol.value == q.value(sol.y)
+
+
+def test_cd_start_at_a_zero_denominator_is_the_bottom_generalized_eigenvector():
+    # c = 0 and v = 0 (x_N = 0 in a block): the denominator vanishes at
+    # y = 0, and the start is the bottom eigenvector of the pencil (Q, R),
+    # scaled to y'Ry = 1, from the package's own change of variables.
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(35)
+    for m in (1, 2, 3, 5, 8):
+        Q, R = random_sym(rng, m), random_spd(rng, m)
+        assert not np.array_equal(R, np.eye(m))
+        q = QfpSubproblem(Q=Q, p=rng.standard_normal(m), w=0.3, R=R, c=np.zeros(m), v=0.0)
+        y0 = _cd_start(q)
+        ryy = float(y0 @ q.R @ y0)
+        assert abs(ryy - 1.0) <= 1e-12
+        lam = float(sla.eigh(q.Q, q.R, eigvals_only=True)[0])
+        assert abs(float(y0 @ q.Q @ y0) / ryy - lam) <= 1e-12 * abs(lam)
 
 
 @st.composite

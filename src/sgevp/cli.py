@@ -160,6 +160,7 @@ def trace_to_json(trace, solver: str, args, dataset_name: str, fixed_timing: boo
             "x": trace.x.tolist(),
             "f": trace.final_objective,
             "reason": trace.reason,
+            "polish": None if trace.polish is None else dataclasses.asdict(trace.polish),
         },
     }
 
@@ -188,6 +189,13 @@ def cmd_solve(args) -> int:
         f"solver={args.solver} s={args.s} objective={trace.final_objective!r} "
         f"iterations={trace.iterations} seconds={trace.seconds[-1] if trace.seconds else 0.0:.3f}"
     )
+    if trace.polish is not None:
+        polish = trace.polish
+        print(
+            f"polish: start={polish.start} rounds={polish.rounds} capped={polish.capped} "
+            f"screened={polish.screened} solved={polish.solved} accepted={polish.accepted} "
+            "(blocks of [one coordinate, a swap pair])"
+        )
     return 0
 
 

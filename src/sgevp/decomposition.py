@@ -20,9 +20,16 @@ from math import comb, inf, isnan
 
 import numpy as np
 
-from .errors import ConfigError, DenominatorCollapse, InvalidK, TooLarge
+from .errors import (
+    ConfigError,
+    DegenerateDenominator,
+    DenominatorCollapse,
+    InvalidK,
+    TooLarge,
+    UnboundedBelow,
+)
 from .fractional1d import solve_1d  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
-from .fractional1d import solve_1d_values
+from .fractional1d import solve_1d_core, solve_1d_values
 from .problems import ProblemInstance, objective, products, quadratic_forms
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
 from .working_set import (
@@ -34,6 +41,7 @@ from .working_set import (
 )
 
 DENOMINATOR_FLOOR = 1e-14
+POLISH_ROUNDS = 50
 MEASURE_GUARD = 10**6
 
 
@@ -81,6 +89,22 @@ class DecompositionConfig:
 
 
 @dataclass
+class PolishSummary:
+    """How polish ended.  ``start`` is the index in the trace's step lists
+    (working_sets, rel_decreases, ...) of polish's first step; ``capped``
+    says polish still moved in its last allowed round.  The block counts
+    are [one-coordinate blocks, swap pairs]: blocks the floor screened
+    out, blocks solved and solved blocks accepted as steps."""
+
+    start: int
+    rounds: int = 0
+    capped: bool = False
+    screened: list[int] = field(default_factory=lambda: [0, 0])
+    solved: list[int] = field(default_factory=lambda: [0, 0])
+    accepted: list[int] = field(default_factory=lambda: [0, 0])
+
+
+@dataclass
 class SolveTrace:
     objectives: list[float] = field(default_factory=list)  # f(x^0), f(x^1), ...
     rel_decreases: list[float] = field(default_factory=list)
@@ -90,6 +114,7 @@ class SolveTrace:
     seconds: list[float] = field(default_factory=list)
     x: np.ndarray | None = None
     reason: str = ""
+    polish: PolishSummary | None = None  # set by solve, not by the baselines
 
     def record(self, x_old, x_new, f_old, f_new, denominator, start, working_set=None):
         """Append one step; ``denominator`` is x_new'C x_new."""
@@ -217,45 +242,64 @@ def _polish(problem, config, x, f, trace, start):
     coordinates outside it are still 1-D improvable, so the convergence
     certificate is enforced explicitly: cyclic exact single-coordinate
     blocks over the support, then a resweep of all swap pairs, repeated
-    until neither moves.  Every move is an exact proximal block solve, so
-    the sufficient-decrease invariant is preserved.  A block of one or two
-    coordinates costs O(s^2) to assemble (build_block_subproblem reads only
-    the support) and a one-coordinate block is solved in closed form.  A
-    swap pair {i, j} with x_i = x_j = 0 and ||x||_0 = s is skipped: its
-    budget is 0, so the move is the identity and would be rejected.
-    Returns (x, f, out_of_time); time_limit is checked before every block
-    solve.
+    until neither moves, for at most POLISH_ROUNDS rounds.  Every move is
+    an exact proximal block solve, so the sufficient-decrease invariant is
+    preserved.  A block of one or two coordinates costs O(s^2) to assemble
+    (build_block_subproblem reads only the support) and a one-coordinate
+    block is solved in closed form.  A swap pair {i, j} with x_i = x_j = 0
+    and ||x||_0 = s is skipped: its budget is 0, so the move is the
+    identity and would be rejected.
+
+    Every other block is screened first: where its feasible points form
+    lines, _block_floor bounds f on them from below, and a block whose
+    floor lies above f - tol (by a rounding margin) is not solved.  Its
+    solution is one of those points, so the move would have been rejected
+    anyway, and the screen changes no result.  A@x and C@x, which the floor
+    reads, are refreshed after every accepted move.  trace.polish
+    records the rounds and the block counts.  Returns (x, f, out_of_time);
+    time_limit is checked before every block solve.
     """
     tol = 1e-9 * (1.0 + abs(f))
+    summary = trace.polish = PolishSummary(start=trace.iterations)
 
     def out_of_time() -> bool:
         return config.time_limit is not None and time.perf_counter() - start > config.time_limit
 
-    def try_block(B):
-        """Solve block B exactly; the improved (x, f), or None."""
+    def try_block(B, floor):
+        """Solve block B exactly unless its floor shows that no solution
+        can be accepted; the improved (x, f), or None."""
+        size = B.size - 1
+        if floor >= f - tol + 1e-12 * (1.0 + abs(f)):
+            summary.screened[size] += 1
+            return None
+        summary.solved[size] += 1
         step = _block_move(problem, x, B, config.theta, config.subsolver)
         if step is None:
             return None
         x_new, f_new, den_new = step
         if f_new < f - tol and sufficient_decrease(config.theta, x, f, x_new, f_new, den_new):
             trace.record(x, x_new, f, f_new, _checked_denominator(den_new), start, B)
+            summary.accepted[size] += 1
             return x_new, f_new
         return None
 
-    for _ in range(50):
+    for _ in range(POLISH_ROUNDS):
+        summary.rounds += 1
         moved = False
+        Ax, Cx = products(problem, x)
         for i in sorted(np.flatnonzero(x != 0.0)):
             if out_of_time():
                 return x, f, True
-            step = try_block(np.array([i]))
+            step = try_block(np.array([i]), _block_floor(problem, x, Ax, Cx, i))
             if step is not None:
                 x, f = step
                 moved = True
+                Ax, Cx = products(problem, x)
         # Swap pairs in the order (support, zero) as they stood at the start
         # of the sweep, all scored in one pass; the scores go stale only on
         # an accepted move, which rescores this row and the rows after it.
         S, Z = support_and_zero(x)
-        D = swap_scores(problem, x, *products(problem, x), f, S, Z)
+        D = swap_scores(problem, x, Ax, Cx, f, S, Z)
         for a, i in enumerate(S):
             col = -1
             # The next improving pair of this row, read from the current scores.
@@ -266,14 +310,67 @@ def _polish(problem, config, x, f, trace, start):
                     continue  # budget 0 and x_B = 0: the move is the identity
                 if out_of_time():
                     return x, f, True
-                step = try_block(np.array(sorted((int(i), int(j)))))
+                floor = _block_floor(problem, x, Ax, Cx, i, j)
+                step = try_block(np.array(sorted((int(i), int(j)))), floor)
                 if step is not None:
                     x, f = step
                     moved = True
-                    D[a:] = swap_scores(problem, x, *products(problem, x), f, S[a:], Z)
+                    Ax, Cx = products(problem, x)
+                    D[a:] = swap_scores(problem, x, Ax, Cx, f, S[a:], Z)
         if not moved:
             break
+    else:
+        summary.capped = True
     return x, f, False
+
+
+def _block_floor(problem, x, Ax, Cx, i, j=None) -> float:
+    """A lower bound on f over the feasible points of polish's block {i},
+    or of the swap pair {i, j}, at x; Ax and Cx are A@x and C@x.
+
+    The bound is the infimum of f over lines, where the block's feasible
+    points make up lines: for {i}, the line x + beta e_i with
+    x_i + beta >= lower_bound; for {i, j} with x_j = 0 and budget 1, that
+    line and the line along e_j from x with x_i set to 0.  On a line
+    beta >= lower, f is the 1-D program of solve_1d_core, whose value
+    covers the stationary points and the bound (both roots are clamped to
+    it); min with the limit a/r at infinity covers a ray that falls
+    towards that limit.
+
+    -inf (no bound, so the block is solved) where x is zero outside the
+    block (the lines pass through 0, where the ratio is 0/0, as in
+    swap_scores' axis case), for a pair with x_j != 0 or a budget of 2 or
+    more, and where the kernel raises.
+    """
+    A, C = problem.A, problem.C
+    lb = -inf if problem.lower_bound is None else problem.lower_bound
+    xi = float(x[i])
+    outside = np.count_nonzero(x) - (xi != 0.0)
+    if outside == 0:
+        return -inf
+    xAx, xCx = float(x @ Ax), float(x @ Cx)
+    lines = [(i, float(Ax[i]), xAx, float(Cx[i]), xCx, lb - xi)]
+    if j is not None:
+        # The pair's budget is s - outside; x_j != 0 leaves a 2-D block.
+        if x[j] != 0.0 or outside != problem.s - 1:
+            return -inf
+        lines.append((
+            j,
+            float(Ax[j]) - xi * float(A[j, i]),
+            xAx - 2.0 * xi * float(Ax[i]) + xi * xi * float(A[i, i]),
+            float(Cx[j]) - xi * float(C[j, i]),
+            xCx - 2.0 * xi * float(Cx[i]) + xi * xi * float(C[i, i]),
+            lb,
+        ))
+    floor = inf
+    for m, b, num, s, den, lower in lines:
+        a, r = float(A[m, m]), float(C[m, m])
+        try:
+            _, value = solve_1d_core(a, b, 0.5 * num, r, s, 0.5 * den, lower)
+        except (DegenerateDenominator, UnboundedBelow):
+            return -inf
+        floor = min(floor, value, a / r)
+    return floor
 
 
 def _blocks(n: int, k: int):

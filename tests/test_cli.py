@@ -55,6 +55,29 @@ def test_solve_json_schema(tmp_path):
     assert payload["final"]["reason"] in ("tolerance", "max_iters", "time_limit")
 
 
+def test_solve_reports_how_polish_ended(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert run(["solve", "--randn", "150x50", "--seed", "1000", "--app", "pca",
+                "--solver", "dec-b", "--s", "12", "--max-iters", "5",
+                "--out", str(out), "--fixed-timing"]) == 0
+    payload = json.loads(out.read_text())
+    polish = payload["final"]["polish"]
+    assert payload["schema"] == 1
+    assert set(polish) == {"start", "rounds", "capped", "screened", "solved", "accepted"}
+    # Every step from polish's start on is an accepted polish block.
+    assert polish["start"] == 5 and not polish["capped"]
+    assert sum(polish["accepted"]) == len(payload["iterations"]) - polish["start"]
+    assert all(len(polish[key]) == 2 for key in ("screened", "solved", "accepted"))
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(f"polish: start=5 rounds={polish['rounds']} capped=False ")
+    assert f"screened={polish['screened']}" in line
+    # The baselines have no polish phase.
+    assert run(["solve", "--randn", "150x50", "--seed", "1000", "--app", "pca",
+                "--solver", "tpm", "--s", "12", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["final"]["polish"] is None
+    assert "polish" not in capsys.readouterr().out
+
+
 def test_solve_missing_data_source():
     assert run(["solve", "--app", "pca", "--solver", "dec-b", "--s", "2"]) == 2
 

@@ -30,7 +30,7 @@ from sgevp.errors import (
     TooLarge,
     ZeroVector,
 )
-from sgevp.fractional1d import OneDimCoefficients, solve_1d
+from sgevp.fractional1d import OneDimCoefficients, solve_1d, solve_1d_core, solve_1d_values
 from sgevp.linalg import NotPositiveDefinite
 from sgevp.problems import build_cca, build_fda, build_pca, gen_randn
 from sgevp.working_set import support_and_zero, swap_descent
@@ -412,6 +412,119 @@ def test_polish_scores_each_sweep_in_one_pass(monkeypatch):
     assert len(kernel_calls) == len(sweeps) + swap_moves
 
 
+def test_polish_solves_few_blocks_it_rejects(monkeypatch):
+    # The floor screens out the blocks whose solution cannot be accepted:
+    # without it, polish solves 279 blocks on this instance and accepts
+    # 111.  Bound-unaware swap scores flag 153 pairs that lower_bound = 0
+    # forbids, and 15 single coordinates are already 1-D optimal.
+    problem = dataclasses.replace(
+        build_pca(gen_randn(150, 50, 1000)), s=12, lower_bound=0.0,
+    )
+    polish, solve_exact = decomposition._polish, decomposition.solve_exact
+    in_polish, blocks = [], []
+
+    def traced_polish(*args):
+        in_polish.append(True)
+        try:
+            return polish(*args)
+        finally:
+            in_polish.pop()
+
+    def traced_solve_exact(sub, method="bisection"):
+        if in_polish:
+            blocks.append(sub.qfp.dim)
+        return solve_exact(sub, method)
+
+    monkeypatch.setattr(decomposition, "_polish", traced_polish)
+    monkeypatch.setattr(decomposition, "solve_exact", traced_solve_exact)
+    trace = solve(problem, DecompositionConfig(k=8, random_count=4, swap_count=4, max_iters=5))
+    summary = trace.polish
+    accepted = trace.iterations - summary.start
+    assert accepted >= 100 and 2 in blocks
+    assert len(blocks) - accepted <= 3
+    assert summary.solved == [blocks.count(1), blocks.count(2)]
+    assert sum(summary.accepted) == accepted
+    assert summary.screened[0] > 0 and summary.screened[1] > 100
+
+
+def test_polish_summary_records_the_cap(monkeypatch):
+    problem = dataclasses.replace(build_pca(gen_randn(150, 50, 1000)), s=12)
+    config = DecompositionConfig(max_iters=5)
+    full = solve(problem, config).polish
+    assert full.start == 5 and full.rounds >= 2 and not full.capped
+    monkeypatch.setattr(decomposition, "POLISH_ROUNDS", 1)
+    capped = solve(problem, config).polish
+    assert capped.rounds == 1 and capped.capped
+    assert sum(capped.accepted) < sum(full.accepted)
+
+
+def test_block_floor_of_an_unbounded_block_is_its_best_line():
+    # On a pair with x_j = 0 and budget 1 the floor is the better of the
+    # 1-D move of i (the certificate's value) and the swap (swap_descent);
+    # on a one-coordinate block it is the 1-D move alone.
+    rng = np.random.default_rng(5)
+    problem = random_problem(rng, 8, 3)
+    x = np.zeros(8)
+    x[[1, 4, 6]] = rng.standard_normal(3)
+    f = objective(problem, x)
+    Ax, Cx = problem.A @ x, problem.C @ x
+    S, Z = support_and_zero(x)
+    one_d = solve_1d_values(
+        np.diag(problem.A)[S], Ax[S], 0.5 * float(x @ Ax),
+        np.diag(problem.C)[S], Cx[S], 0.5 * float(x @ Cx),
+    )
+    tol = 1e-12 * (1.0 + abs(f))
+    swap_wins = 0
+    for a, i in enumerate(S):
+        assert abs(decomposition._block_floor(problem, x, Ax, Cx, i) - one_d[a]) <= tol
+        for j in Z:
+            swap = swap_descent(problem, x, i, j) + f
+            floor = decomposition._block_floor(problem, x, Ax, Cx, i, j)
+            assert abs(floor - min(swap, one_d[a])) <= tol
+            swap_wins += swap < one_d[a]
+    assert swap_wins > 0
+
+
+def test_block_floor_reads_the_ray_limit_under_a_bound():
+    # Along x + beta e_0 with x_0 + beta = u >= 0, f(u) = (0.2 u^2 + 0.8 u
+    # + 0.8) / (u^2 + 1.6 u + 1) has its stationary points at u = -2 (the
+    # minimum) and u = -0.5, both below the bound, and falls from 0.8 at
+    # u = 0 towards its limit a/r = 0.2.  The kernel clamps both roots to
+    # u = 0 and reads 0.8, above f(x) = 0.5: a floor without the limit
+    # would screen out a block whose line holds points below f(x).
+    A = np.array([[0.2, 0.4, 0.0], [0.4, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    C = np.array([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    problem = ProblemInstance(A=A, C=C, s=2, lower_bound=0.0)
+    x = np.array([1.0, 1.0, 0.0])
+    Ax, Cx = A @ x, C @ x
+    assert objective(problem, x) == pytest.approx(0.5)
+    _, kernel = solve_1d_core(0.2, Ax[0], 0.5 * float(x @ Ax), 1.0, Cx[0], 0.5 * float(x @ Cx), -1.0)
+    assert kernel == pytest.approx(0.8)
+    assert objective(problem, np.array([100.0, 1.0, 0.0])) < 0.21
+    assert decomposition._block_floor(problem, x, Ax, Cx, 0) == pytest.approx(0.2, rel=1e-12)
+
+
+def test_block_floor_gives_no_screen_where_it_does_not_apply():
+    rng = np.random.default_rng(6)
+    problem = random_problem(rng, 6, 3)
+    # One nonzero: every line of block {0} or pair {0, j} passes through 0.
+    x = np.zeros(6)
+    x[0] = 1.5
+    Ax, Cx = problem.A @ x, problem.C @ x
+    assert decomposition._block_floor(problem, x, Ax, Cx, 0) == -math.inf
+    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 3) == -math.inf
+    # Two nonzeros with s = 3: the pair {0, j} has budget 2.
+    x[1] = -0.7
+    Ax, Cx = problem.A @ x, problem.C @ x
+    assert decomposition._block_floor(problem, x, Ax, Cx, 0) > -math.inf
+    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 3) == -math.inf
+    # x_j != 0: the pair {0, 1} is a 2-D block.
+    x[2] = 0.3
+    Ax, Cx = problem.A @ x, problem.C @ x
+    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 3) > -math.inf
+    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 1) == -math.inf
+
+
 def test_lower_bound_respected():
     rng = np.random.default_rng(82)
     base = random_problem(rng, 8, 3)
@@ -479,6 +592,35 @@ def test_solver_invariants_unbounded(case):
     # differ by 4e-5.
     tol = 1e-6 * max(1.0, abs(trace.final_objective))
     assert certify_block2_stationary(problem, trace.x, tol=tol)
+
+
+def assert_screen_changes_nothing(problem, config):
+    """Polish with its floor screen and without it (a floor of -inf, so
+    every block is solved) end with the same bytes."""
+    screened = solve(problem, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, "_block_floor", lambda *args: -math.inf)
+        unscreened = solve(problem, config)
+    assert screened.x.tobytes() == unscreened.x.tobytes()
+    assert screened.objectives == unscreened.objectives
+    assert [B.tolist() for B in screened.working_sets] == [
+        B.tolist() for B in unscreened.working_sets
+    ]
+    assert screened.reason == unscreened.reason
+    assert unscreened.polish.screened == [0, 0]
+    assert screened.polish.accepted == unscreened.polish.accepted
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(solver_cases(bounded=False))
+def test_polish_screen_changes_no_result_unbounded(case):
+    assert_screen_changes_nothing(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(solver_cases(bounded=True, max_k=8))
+def test_polish_screen_changes_no_result_bounded(case):
+    assert_screen_changes_nothing(*case)
 
 
 # Bounded runs solve supports by coordinate descent, up to 200 sweeps each,

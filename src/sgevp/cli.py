@@ -161,6 +161,7 @@ def trace_to_json(trace, solver: str, args, dataset_name: str, fixed_timing: boo
             "f": trace.final_objective,
             "reason": trace.reason,
             "polish": None if trace.polish is None else dataclasses.asdict(trace.polish),
+            "rejected": trace.rejected,
         },
     }
 
@@ -189,6 +190,8 @@ def cmd_solve(args) -> int:
         f"solver={args.solver} s={args.s} objective={trace.final_objective!r} "
         f"iterations={trace.iterations} seconds={trace.seconds[-1] if trace.seconds else 0.0:.3f}"
     )
+    if trace.rejected is not None:
+        print(f"rejected={trace.rejected} (main-loop steps: [zero vector, insufficient decrease])")
     if trace.polish is not None:
         polish = trace.polish
         print(

@@ -115,6 +115,9 @@ class SolveTrace:
     x: np.ndarray | None = None
     reason: str = ""
     polish: PolishSummary | None = None  # set by solve, not by the baselines
+    # Main-loop steps solve rejected, [zero vector, insufficient decrease];
+    # set by solve, not by the baselines.
+    rejected: list[int] | None = None
 
     def record(self, x_old, x_new, f_old, f_new, denominator, start, working_set=None):
         """Append one step; ``denominator`` is x_new'C x_new."""
@@ -202,7 +205,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
     x = initial_point(problem)
     num, den = quadratic_forms(problem, x)
     f = num / den
-    trace = SolveTrace()
+    trace = SolveTrace(rejected=[0, 0])
     trace.objectives.append(f)
     _checked_denominator(den)
     reason = "max_iters"
@@ -214,8 +217,12 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
         # the per-step decrease guarantee the certificates rely on.
         step = _block_move(problem, x, B, config.theta, config.subsolver)
         x_new, f_new, den_new = x, f, den
-        if step is not None and sufficient_decrease(config.theta, x, f, *step):
+        if step is None:
+            trace.rejected[0] += 1
+        elif sufficient_decrease(config.theta, x, f, *step):
             x_new, f_new, den_new = step
+        else:
+            trace.rejected[1] += 1
         trace.record(x, x_new, f, f_new, _checked_denominator(den_new), start, B)
         x, f, den = x_new, f_new, den_new
         window = trace.rel_decreases[-config.window:]

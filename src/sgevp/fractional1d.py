@@ -132,21 +132,24 @@ def solve_1d_values(a, b, c, r, s, t, lower=None) -> np.ndarray:
     r <= 0).  Where both roots' values tie in solve_1d_core's sense (within
     _TIE_TOL times the larger magnitude, capped at 1), solve_1d_core keeps
     the smaller beta's and this kernel the smaller value.
+
+    The kernel is elementwise: every element gets the arithmetic it would
+    get alone.  Branches that no element takes are skipped for the whole
+    array: the linear root of pi == 0, the overflow rescaling of a huge
+    root, and the a/r limit of a negative discriminant.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pi = a * s - b * r
         theta = a * t - c * r
         iota = t * b - c * s
         disc = theta * theta - 2.0 * pi * iota
-        limit = np.where(r > 0, a / np.where(r > 0, r, 1.0), np.inf)
         sq = np.sqrt(np.maximum(disc, 0.0))
-        quad = pi != 0.0
         # Both roots at once, axis 0 the sign of the square root.
         sign = np.array([-1.0, 1.0]).reshape((2,) + (1,) * disc.ndim)
-        beta = np.where(quad, (-theta + sign * sq) / np.where(quad, pi, 1.0), 0.0)
-        lin = (~quad) & (theta != 0.0)
-        beta = np.where(lin, -iota / np.where(lin, theta, 1.0), beta)
-        beta = np.where((~quad) & (theta == 0.0), 0.0, beta)
+        beta = (-theta + sign * sq) / pi
+        linear = pi == 0.0
+        if np.any(linear):
+            beta = np.where(linear, np.where(theta != 0.0, -iota / theta, 0.0), beta)
         if lower is not None:
             beta = np.where(beta < lower, lower, beta)
         den = 0.5 * r * beta * beta + s * beta + t
@@ -156,6 +159,10 @@ def solve_1d_values(a, b, c, r, s, t, lower=None) -> np.ndarray:
         if np.any(far):
             den = np.where(far, 0.5 * r + s / beta + t / (beta * beta), den)
             num = np.where(far, 0.5 * a + b / beta + c / (beta * beta), num)
-        cand = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
+        cand = np.where(den > 0, num / den, np.inf)
         values = np.minimum(cand[0], cand[1])
-    return np.where(disc < 0.0, limit, values)
+        unbounded = disc < 0.0
+        if np.any(unbounded):
+            limit = np.where(r > 0, a / r, np.inf)
+            values = np.where(unbounded, limit, values)
+    return values

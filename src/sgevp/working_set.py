@@ -7,11 +7,16 @@ is its position in B.
 The swapping strategy scores every (support i, zero j) pair by the exact
 objective descent achievable when i leaves the support and j enters with
 its optimal coefficient, then greedily takes the best nonoverlapping
-pairs.  One batched kernel (swap_scores) scores rows I against columns J
-in a single pass, from rank-one corrections of the products A@x and C@x
-(problems.products, which reads only the support columns) and the batched
-1-D kernel fractional1d.solve_1d_values; selection, polish and the
-block-2 certificate all score swaps with it.  swap_descent is the
+pairs: each pick is the smallest score among pairs whose support and zero
+coordinates are both still free, ties to the smaller support index and
+then the smaller zero index, NaN scores last.  The hybrid strategy draws
+its random picks from the complement of the swap picks, taken from a mask
+as the sorted array of the other indices.  One batched kernel
+(swap_scores) scores rows I against columns J in a single pass, from
+rank-one corrections of the products A@x and C@x (problems.products,
+which reads only the support columns) and the batched 1-D kernel
+fractional1d.solve_1d_values; selection, polish and the block-2
+certificate all score swaps with it.  swap_descent is the
 explicit per-pair reference.
 """
 
@@ -113,24 +118,27 @@ def select_swapping(problem, x, k_swap: int) -> np.ndarray:
         raise InsufficientCoordinates(
             f"need {pairs_needed} support and zero coordinates, have {S.size}/{Z.size}"
         )
-    # Stable order by (descent, support index, zero index): S and Z ascend
-    # and D is row-major, so ties already stand in index order.
-    order = np.argsort(D.ravel(), kind="stable")
-    used_i: set[int] = set()
-    used_j: set[int] = set()
-    chosen: list[tuple[int, int]] = []
-    for pos in order:
+    # Each pick is the first smallest non-NaN free entry: S and Z ascend and
+    # D is row-major, so first occurrence is the (descent, support index,
+    # zero index) order.  Without one, the first free entry: NaNs rank last,
+    # in index order.  Used rows and columns leave the mask, not through an
+    # inf sentinel, since D itself may hold +inf.
+    flat = D.ravel()
+    scored = ~np.isnan(flat)
+    free = np.ones(D.shape, dtype=bool)
+    rows, cols = [], []
+    for _ in range(pairs_needed):
+        cand = np.flatnonzero(free.ravel() & scored)
+        if cand.size:
+            pos = cand[np.argmin(flat[cand])]
+        else:
+            pos = np.flatnonzero(free.ravel())[0]
         row, col = divmod(int(pos), Z.size)
-        i = int(S[row])
-        j = int(Z[col])
-        if i in used_i or j in used_j:
-            continue
-        chosen.append((i, j))
-        used_i.add(i)
-        used_j.add(j)
-        if len(chosen) == pairs_needed:
-            break
-    return np.array([i for i, _ in chosen] + [j for _, j in chosen], dtype=int)
+        rows.append(row)
+        cols.append(col)
+        free[row, :] = False
+        free[:, col] = False
+    return np.concatenate([S[rows], Z[cols]])
 
 
 def select_hybrid(problem, x, r: int, w: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,7 +149,8 @@ def select_hybrid(problem, x, r: int, w: int, rng: np.random.Generator) -> np.nd
         raise InvalidK(f"k={k} outside [1, {n}]")
     indices = select_swapping(problem, x, w) if w > 0 else np.empty(0, dtype=int)
     if r > 0:
-        remaining = np.setdiff1d(np.arange(n), indices)
-        extra = np.sort(rng.choice(remaining, size=r, replace=False))
+        keep = np.ones(n, dtype=bool)
+        keep[indices] = False
+        extra = np.sort(rng.choice(np.flatnonzero(keep), size=r, replace=False))
         indices = np.concatenate([indices, extra])
     return indices

@@ -68,14 +68,19 @@ def test_solve_reports_how_polish_ended(tmp_path, capsys):
     assert polish["start"] == 5 and not polish["capped"]
     assert sum(polish["accepted"]) == len(payload["iterations"]) - polish["start"]
     assert all(len(polish[key]) == 2 for key in ("screened", "solved", "accepted"))
-    line = capsys.readouterr().out.splitlines()[-1]
+    # The main loop's rejected steps, [zero vector, insufficient decrease].
+    assert payload["final"]["rejected"] == [0, 0]
+    rejected, line = capsys.readouterr().out.splitlines()[-2:]
+    assert rejected.startswith("rejected=[0, 0] ")
     assert line.startswith(f"polish: start=5 rounds={polish['rounds']} capped=False ")
     assert f"screened={polish['screened']}" in line
-    # The baselines have no polish phase.
+    # The baselines have no polish phase and no rejected steps.
     assert run(["solve", "--randn", "150x50", "--seed", "1000", "--app", "pca",
                 "--solver", "tpm", "--s", "12", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["final"]["polish"] is None
-    assert "polish" not in capsys.readouterr().out
+    final = json.loads(out.read_text())["final"]
+    assert final["polish"] is None and final["rejected"] is None
+    printed = capsys.readouterr().out
+    assert "polish" not in printed and "rejected" not in printed
 
 
 def test_solve_missing_data_source():

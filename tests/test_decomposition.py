@@ -349,6 +349,28 @@ def test_polish_honours_time_limit():
     assert trace.iterations == 1
 
 
+def test_trace_counts_rejected_steps_by_reason(monkeypatch):
+    # The first main-loop step collapses to the zero vector and the second
+    # raises the objective; the other steps and polish's blocks are real.
+    problem = dataclasses.replace(build_pca(gen_randn(300, 100, 7)), s=8)
+    block_move, calls = decomposition._block_move, []
+
+    def faulty_block_move(problem, x, B, theta, method="bisection"):
+        calls.append(B)
+        if len(calls) == 1:
+            return None
+        step = block_move(problem, x, B, theta, method)
+        if len(calls) == 2:
+            return step[0], objective(problem, x) + 1.0, step[2]
+        return step
+
+    monkeypatch.setattr(decomposition, "_block_move", faulty_block_move)
+    trace = solve(problem, DecompositionConfig(max_iters=4, epsilon=-1.0))
+    assert trace.rejected == [1, 1]
+    assert trace.objectives[:3] == [trace.objectives[0]] * 3
+    assert trace.objectives[3] < trace.objectives[0]
+
+
 def test_polish_skips_budget_zero_swap_blocks(monkeypatch):
     # Once a swap has taken i out of a full support, the pair {i, j} has
     # x_B = 0 and budget 0, so its move is the identity; without the skip,

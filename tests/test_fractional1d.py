@@ -318,3 +318,33 @@ def test_batched_kernel_matches_the_scalar_kernel_with_a_lower_bound(rows):
     # lower = None skips the clamp, which lower = -inf leaves a no-op.
     free = solve_1d_values(*columns[:6])
     assert free.tobytes() == solve_1d_values(*columns[:6], np.full(len(rows), -math.inf)).tobytes()
+
+
+# Rows that take solve_1d_values' skippable branches: pi == 0 with a linear
+# root, pi == theta == 0, and a negative discriminant; and rows that take
+# none of them (pi != 0, disc >= 0).
+BRANCH_ROWS = [
+    (1.0, 0.0, 0.0, 1.0, 0.0, 1.0, -math.inf),
+    (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0),
+    (-1.0, 0.0, 1.0, 1.0, 2.0, 1.0, -1.0),
+]
+PLAIN_ROWS = [(1.0, 1.0, 0.0, 1.0, 0.0, 1.0, -math.inf), (2.0, 0.0, 1.0, 1.0, 1.0, 2.0, 0.5)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(rows_1d, min_size=1, max_size=6))
+@example(PLAIN_ROWS)
+@example(BRANCH_ROWS)
+@example(PLAIN_ROWS + BRANCH_ROWS)
+def test_batched_kernel_is_elementwise(rows):
+    # A branch the stack takes for some rows, or skips for all, changes no
+    # element: the stack equals its rows solved one at a time, bit for bit.
+    columns = [np.array(column) for column in zip(*rows)]
+    for lower in (None, columns[6]):
+        bounds = [None if lower is None else lower[m:m + 1] for m in range(len(rows))]
+        stacked = solve_1d_values(*columns[:6], lower)
+        alone = [
+            solve_1d_values(*(col[m:m + 1] for col in columns[:6]), bounds[m])
+            for m in range(len(rows))
+        ]
+        assert stacked.tobytes() == np.concatenate(alone).tobytes()

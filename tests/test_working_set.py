@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from sgevp.decomposition import ProblemInstance, objective
 from sgevp import working_set
 from sgevp.errors import InsufficientCoordinates, InvalidK
 from sgevp.fractional1d import solve_1d_values
+from sgevp.problems import build_pca, gen_randn
 from sgevp.working_set import (
     descent_matrix,
     select_hybrid,
@@ -310,6 +312,51 @@ def test_select_swapping_validation():
         select_swapping(problem, x, 0)
     with pytest.raises(InsufficientCoordinates):
         select_swapping(problem, x, 4)  # needs 2 support coords, has 1
+
+
+def test_select_swapping_matches_greedy_oracle_at_400_variables():
+    # The large-|Z| case of the benchmark's 400-variable PCA workload: 4
+    # support coordinates scored against 396 zeros.
+    problem = dataclasses.replace(build_pca(gen_randn(800, 400, 22)), s=4)
+    rng = np.random.default_rng(22)
+    x = np.zeros(400)
+    x[rng.choice(400, size=4, replace=False)] = rng.standard_normal(4)
+    sel = select_swapping(problem, x, 6)
+    assert [(int(i), int(j)) for i, j in zip(sel[:3], sel[3:])] == greedy_reference(
+        *descent_matrix(problem, x), 3
+    )
+
+
+@st.composite
+def hybrid_cases(draw):
+    """(problem, x, r, w, seed) with only swap picks, only random picks, or both."""
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problem = random_problem(rng, n, n)
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    x = np.zeros(n)
+    x[support] = rng.uniform(0.5, 2.0, len(support)) * rng.choice([-1.0, 1.0], len(support))
+    kind = draw(st.sampled_from(["swap", "random", "both"]))
+    # With both kinds, the swap picks leave a coordinate for a random pick.
+    pairs = min(len(support), n - len(support), (n - 1) // 2 if kind == "both" else n)
+    w = 0 if kind == "random" else 2 * draw(st.integers(1, pairs))
+    r = 0 if kind == "swap" else draw(st.integers(1, n - w))
+    return problem, x, r, w, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hybrid_cases())
+def test_select_hybrid_draws_the_random_part_from_the_complement(case):
+    problem, x, r, w, seed = case
+    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    sel = select_hybrid(problem, x, r, w, rng)
+    swap = select_swapping(problem, x, w) if w else np.empty(0, dtype=int)
+    expected = swap
+    if r:
+        remaining = np.setdiff1d(np.arange(problem.dim), swap)
+        expected = np.concatenate([swap, np.sort(rng2.choice(remaining, size=r, replace=False))])
+    assert sel.tolist() == expected.tolist()
+    assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 def test_select_hybrid_composition():

@@ -162,6 +162,7 @@ def trace_to_json(trace, solver: str, args, dataset_name: str, fixed_timing: boo
             "reason": trace.reason,
             "polish": None if trace.polish is None else dataclasses.asdict(trace.polish),
             "rejected": trace.rejected,
+            "supports": trace.supports,
         },
     }
 
@@ -190,6 +191,8 @@ def cmd_solve(args) -> int:
         f"solver={args.solver} s={args.s} objective={trace.final_objective!r} "
         f"iterations={trace.iterations} seconds={trace.seconds[-1] if trace.seconds else 0.0:.3f}"
     )
+    if trace.supports is not None:
+        print(f"supports={trace.supports} (block supports: [enumerated, keyed, solved])")
     if trace.rejected is not None:
         print(f"rejected={trace.rejected} (main-loop steps: [zero vector, insufficient decrease])")
     if trace.polish is not None:

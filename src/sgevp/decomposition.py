@@ -118,6 +118,10 @@ class SolveTrace:
     # Main-loop steps solve rejected, [zero vector, insufficient decrease];
     # set by solve, not by the baselines.
     rejected: list[int] | None = None
+    # Supports of the run's block solves, polish included, [enumerated,
+    # keyed, solved] (subproblem.solve_exact's tally); set by solve, not by
+    # the baselines.
+    supports: list[int] | None = None
 
     def record(self, x_old, x_new, f_old, f_new, denominator, start, working_set=None):
         """Append one step; ``denominator`` is x_new'C x_new."""
@@ -170,12 +174,12 @@ def _checked_denominator(den: float) -> float:
     return den
 
 
-def _block_move(problem, x, B, theta, method="bisection"):
+def _block_move(problem, x, B, theta, method="bisection", tally=None):
     """(x_new, f_new, den_new): x with block B replaced by its exact
     proximal block solution, its objective and its x'Cx, both from one
     quadratic_forms call over supp(x_new); None where the move collapses x
-    to the zero vector."""
-    z, _ = solve_exact(build_block_subproblem(problem, x, B, theta), method=method)
+    to the zero vector.  tally gains the block's support counts."""
+    z, _ = solve_exact(build_block_subproblem(problem, x, B, theta), method, tally)
     x_new = x.copy()
     x_new[B] = z
     if not np.any(x_new):
@@ -205,7 +209,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
     x = initial_point(problem)
     num, den = quadratic_forms(problem, x)
     f = num / den
-    trace = SolveTrace(rejected=[0, 0])
+    trace = SolveTrace(rejected=[0, 0], supports=[0, 0, 0])
     trace.objectives.append(f)
     _checked_denominator(den)
     reason = "max_iters"
@@ -215,7 +219,7 @@ def solve(problem: ProblemInstance, config: DecompositionConfig) -> SolveTrace:
         # satisfies sufficient decrease by construction; coordinate descent
         # may return an improving but insufficient point, which would break
         # the per-step decrease guarantee the certificates rely on.
-        step = _block_move(problem, x, B, config.theta, config.subsolver)
+        step = _block_move(problem, x, B, config.theta, config.subsolver, trace.supports)
         x_new, f_new, den_new = x, f, den
         if step is None:
             trace.rejected[0] += 1
@@ -280,7 +284,7 @@ def _polish(problem, config, x, f, trace, start):
             summary.screened[size] += 1
             return None
         summary.solved[size] += 1
-        step = _block_move(problem, x, B, config.theta, config.subsolver)
+        step = _block_move(problem, x, B, config.theta, config.subsolver, trace.supports)
         if step is None:
             return None
         x_new, f_new, den_new = step

@@ -16,14 +16,18 @@ Two routes:
   and gradients in O(m), on Python floats.
 
 ``assemble_reduced``, the batched support ranking ``pencil_keys``, the
-face infima over y >= 0 that rank bounded supports, ``face_infima``, and
-coordinate descent's start where the denominator vanishes at y = 0 (the
-bottom generalized eigenvector of (Q, R)) share one stacked change of
-variables, ``_whiten``.  Where R is exactly the identity (every block of a
-PCA problem, where C = I), L = I and the change of variables is a no-op:
-``_whiten`` forms no factor, inverse or product with it, and
-``assemble_reduced`` skips the positive-definiteness check, with results
-bit-identical to the general route.
+face infima over y >= 0 that rank bounded supports, ``face_infima``, the
+bottom eigenvector of a block's pencil that picks the support screen's
+candidate, ``pencil_direction``, and coordinate descent's start where the
+denominator vanishes at y = 0 (the bottom generalized eigenvector of
+(Q, R)) share one stacked change of variables, ``_whiten``.  The screen
+itself reads inertia, not eigenvalues: ``positive_definite`` tests a
+stack of symmetric matrices by their Cholesky pivots.  Where R is
+exactly the identity (every block of a PCA problem, where C = I), L = I
+and the change of variables is a no-op: ``_whiten`` forms no factor,
+inverse or product with it, and ``assemble_reduced`` skips the
+positive-definiteness check, with results bit-identical to the general
+route.
 """
 
 from __future__ import annotations
@@ -189,6 +193,64 @@ def pencil_keys(Q, p, w: float, R, c, v: float) -> np.ndarray:
         except np.linalg.LinAlgError:
             keys[:] = np.nan
     return keys
+
+
+def pencil_direction(q: QfpSubproblem) -> np.ndarray | None:
+    """The y-part of the bottom generalized eigenvector of q's bordered
+    pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]]), where pencil_keys reads
+    a finite key for every principal sub-pencil (every support of q with
+    the border); None elsewhere.
+
+    Each sub-pencil's key is finite where q is finite with entries below
+    1e100 (so no product of the change of variables overflows), R is
+    exactly I or lambda_min(R) > pd_tol(R) (every R_S factors, as
+    lambda_min(R_S) >= lambda_min(R)), and either gamma > 2 GAMMA_FLOOR
+    (1 + |2v|) (gamma_S >= gamma, as c_S'R_S^{-1}c_S <= c'R^{-1}c) or
+    v = 0, c = 0 and 2w above twice the homogeneous tolerance of every
+    O_S (||O_S|| <= ||O|| by interlacing).  The direction is
+    L^{-T}(a - L^{-1}c b / sqrt(gamma)) for the bottom eigenvector [a; b]
+    of Z, or L^{-T}e for the bottom eigenvector e of O - g g'/delta.
+    """
+    m = q.dim
+    block = np.concatenate([q.Q.ravel(), q.p, q.R.ravel(), q.c, [q.w, q.v]])
+    if not np.all(np.abs(block) < 1e100):
+        return None
+    if not np.array_equal(q.R, np.eye(m)) and not linalg.min_eigenvalue(q.R) > linalg.pd_tol(q.R):
+        return None
+    try:
+        L_inv, O, g, gamma, delta = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
+        if gamma[0] > 2.0 * GAMMA_FLOOR * (1.0 + abs(2.0 * q.v)):
+            V = np.linalg.eigh(_bordered_z(O, g, gamma, delta))[1][0]
+            u = V[:m, 0] - (L_inv[0] @ q.c) * (V[m, 0] / math.sqrt(gamma[0]))
+        elif q.v == 0.0 and not q.c.any() and delta[0] > 2.0 * max(
+            _GAMMA_SLACK, math.sqrt(m) * _homogeneous_tol(O[0]),
+        ):
+            u = np.linalg.eigh(_secular_matrix(O, g, delta))[1][0][:, 0]
+        else:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    return L_inv[0].T @ u
+
+
+def positive_definite(A) -> np.ndarray:
+    """Whether each matrix of a symmetric stack (N, m, m) is positive
+    definite: every pivot of its Cholesky recurrence (elimination without
+    pivoting) is finite and positive.  By Sylvester's law of inertia that
+    is the sign of its smallest eigenvalue, read without an eigenvalue
+    call.  A matrix holding a nan or an inf reads False: such an entry
+    reaches a pivot as a nan or an infinity."""
+    # The stack runs along the last axis, so each step is a few whole-array
+    # operations over contiguous rows of the stack.
+    A = np.moveaxis(np.asarray(A, dtype=float), 0, -1).copy()
+    definite = np.ones(A.shape[-1], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(len(A)):
+            d = A[j, j]
+            definite &= (d > 0.0) & (d < np.inf)
+            row = A[j, j + 1:]
+            A[j + 1:, j + 1:] -= row[:, None] * (row / d)[None]
+    return definite
 
 
 def _pencil_cases(O, gamma, delta, v: float):

@@ -123,3 +123,5 @@ def test_baselines_trace_shapes():
         assert len(trace.objectives) == m + 1
         assert len(trace.seconds) == m
         assert trace.reason in ("tolerance", "max_iters", "fixed_point")
+        # The decomposition's counters are not the baselines'.
+        assert trace.supports is None

@@ -70,7 +70,11 @@ def test_solve_reports_how_polish_ended(tmp_path, capsys):
     assert all(len(polish[key]) == 2 for key in ("screened", "solved", "accepted"))
     # The main loop's rejected steps, [zero vector, insufficient decrease].
     assert payload["final"]["rejected"] == [0, 0]
-    rejected, line = capsys.readouterr().out.splitlines()[-2:]
+    # The block supports, [enumerated, keyed, solved], summed over the run.
+    supports = payload["final"]["supports"]
+    assert len(supports) == 3 and supports[0] > supports[1] > 0 and supports[2] > 0
+    counted, rejected, line = capsys.readouterr().out.splitlines()[-3:]
+    assert counted.startswith(f"supports={supports} ")
     assert rejected.startswith("rejected=[0, 0] ")
     assert line.startswith(f"polish: start=5 rounds={polish['rounds']} capped=False ")
     assert f"screened={polish['screened']}" in line
@@ -78,9 +82,9 @@ def test_solve_reports_how_polish_ended(tmp_path, capsys):
     assert run(["solve", "--randn", "150x50", "--seed", "1000", "--app", "pca",
                 "--solver", "tpm", "--s", "12", "--out", str(out)]) == 0
     final = json.loads(out.read_text())["final"]
-    assert final["polish"] is None and final["rejected"] is None
+    assert final["polish"] is None and final["rejected"] is None and final["supports"] is None
     printed = capsys.readouterr().out
-    assert "polish" not in printed and "rejected" not in printed
+    assert "polish" not in printed and "rejected" not in printed and "supports" not in printed
 
 
 def test_solve_missing_data_source():

@@ -9,7 +9,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgevp import decomposition, working_set
+from sgevp import decomposition, subproblem, working_set
 from sgevp.decomposition import (
     DecompositionConfig,
     ProblemInstance,
@@ -355,11 +355,11 @@ def test_trace_counts_rejected_steps_by_reason(monkeypatch):
     problem = dataclasses.replace(build_pca(gen_randn(300, 100, 7)), s=8)
     block_move, calls = decomposition._block_move, []
 
-    def faulty_block_move(problem, x, B, theta, method="bisection"):
+    def faulty_block_move(problem, x, B, theta, method="bisection", tally=None):
         calls.append(B)
         if len(calls) == 1:
             return None
-        step = block_move(problem, x, B, theta, method)
+        step = block_move(problem, x, B, theta, method, tally)
         if len(calls) == 2:
             return step[0], objective(problem, x) + 1.0, step[2]
         return step
@@ -369,6 +369,56 @@ def test_trace_counts_rejected_steps_by_reason(monkeypatch):
     assert trace.rejected == [1, 1]
     assert trace.objectives[:3] == [trace.objectives[0]] * 3
     assert trace.objectives[3] < trace.objectives[0]
+
+
+@pytest.mark.parametrize("app, subsolver, lower_bound", [
+    ("pca", "bisection", None), ("fda", "bisection", None),
+    ("pca", "coordinate-descent", None), ("pca", "bisection", 0.0),
+])
+def test_trace_counts_the_supports_of_every_block_solve(monkeypatch, app, subsolver, lower_bound):
+    # trace.supports, [enumerated, keyed, solved] over the run's block
+    # solves, polish included, against wrappers that count: the supports
+    # of each block's size min(budget, k) (the empty support where the
+    # budget is 0), the supports handed to the pencil keys and the face
+    # bounds, and the supports solved, by the route's solver or by
+    # _one_coordinate (whose own deferrals to the solver count once).
+    data = gen_randn(150, 50, 3)
+    problem = dataclasses.replace(build_pca(data) if app == "pca" else build_fda(data), s=6)
+    problem = dataclasses.replace(problem, lower_bound=lower_bound)
+    counts, nested = [0, 0, 0], []
+
+    def enumerated(function):
+        def wrapped(sub, method="bisection", tally=None):
+            counts[0] += math.comb(sub.qfp.dim, min(sub.budget, sub.qfp.dim))
+            counts[2] += sub.budget == 0
+            return function(sub, method, tally)
+        return wrapped
+
+    def keyed(function):
+        def wrapped(qfp, supports):
+            counts[1] += len(supports)
+            return function(qfp, supports)
+        return wrapped
+
+    def solved(function):
+        def wrapped(*args):
+            counts[2] += not nested
+            nested.append(True)
+            try:
+                return function(*args)
+            finally:
+                nested.pop()
+        return wrapped
+
+    monkeypatch.setattr(decomposition, "solve_exact", enumerated(decomposition.solve_exact))
+    for name, wrap in [
+        ("_pencil_keys", keyed), ("_orthant_bounds", keyed), ("_one_coordinate", solved),
+        ("solve_bisection", solved), ("solve_coordinate_descent", solved),
+    ]:
+        monkeypatch.setattr(subproblem, name, wrap(getattr(subproblem, name)))
+    trace = solve(problem, DecompositionConfig(subsolver=subsolver, max_iters=6))
+    assert trace.supports == counts
+    assert counts[0] >= counts[1] > 0 and counts[2] > 0
 
 
 def test_polish_skips_budget_zero_swap_blocks(monkeypatch):
@@ -386,10 +436,10 @@ def test_polish_skips_budget_zero_swap_blocks(monkeypatch):
         finally:
             in_polish.pop()
 
-    def traced_solve_exact(sub, method="bisection"):
+    def traced_solve_exact(sub, method="bisection", tally=None):
         if in_polish:
             blocks.append((sub.qfp.dim, sub.budget))
-        return solve_exact(sub, method)
+        return solve_exact(sub, method, tally)
 
     monkeypatch.setattr(decomposition, "_polish", traced_polish)
     monkeypatch.setattr(decomposition, "solve_exact", traced_solve_exact)
@@ -452,10 +502,10 @@ def test_polish_solves_few_blocks_it_rejects(monkeypatch):
         finally:
             in_polish.pop()
 
-    def traced_solve_exact(sub, method="bisection"):
+    def traced_solve_exact(sub, method="bisection", tally=None):
         if in_polish:
             blocks.append(sub.qfp.dim)
-        return solve_exact(sub, method)
+        return solve_exact(sub, method, tally)
 
     monkeypatch.setattr(decomposition, "_polish", traced_polish)
     monkeypatch.setattr(decomposition, "solve_exact", traced_solve_exact)
@@ -679,6 +729,6 @@ def test_block_move_refuses_an_underflowed_denominator(monkeypatch):
     # ZeroDivisionError from the move's own num / den.
     problem = ProblemInstance(A=np.eye(2), C=np.eye(2), s=1)
     tiny = np.array([6.3e-172])
-    monkeypatch.setattr(decomposition, "solve_exact", lambda sub, method: (tiny, 0.0))
+    monkeypatch.setattr(decomposition, "solve_exact", lambda sub, method, tally: (tiny, 0.0))
     with pytest.raises(DenominatorCollapse):
         decomposition._block_move(problem, np.array([0.0, 1.0]), np.array([1]), 0.0)

@@ -19,7 +19,9 @@ from sgevp.qfp import (
     assemble_reduced,
     default_bisection_tol,
     j_alpha,
+    pencil_direction,
     pencil_keys,
+    positive_definite,
     _cd_start,
     projected_gradient,
     solve_bisection,
@@ -678,3 +680,95 @@ def test_whiten_takes_the_general_route_off_the_identity(where, monkeypatch):
         got = _whiten(Q, p, w, R, c, v)
     assert len(calls) == 1
     assert bits(got) == bits(expected)
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """A stack of symmetric m x m matrices, m in 1..8, each of one kind:
+    random (mostly indefinite), positive definite, singular with an exact
+    zero pivot (a zero row and column, or a row and column repeated, whose
+    elimination cancels to 0.0 exactly), or holding a nan or an inf."""
+    m = draw(st.integers(1, 8))
+    kinds = draw(st.lists(
+        st.sampled_from(["random", "definite", "zero row", "repeated", "non-finite"]),
+        min_size=1, max_size=12,
+    ))
+    stack = []
+    for kind in kinds:
+        G = draw(arrays(float, (m, m), elements=st.floats(-3.0, 3.0)))
+        A = 0.5 * (G + G.T) if kind == "random" else G @ G.T + 0.25 * np.eye(m)
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if kind == "zero row":
+            A[i, :] = A[:, i] = 0.0
+        elif kind == "repeated" and i != j:
+            A[j, :] = A[i, :]
+            A[:, j] = A[:, i]
+        elif kind == "non-finite":
+            A[i, j] = A[j, i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        stack.append(A)
+    return kinds, np.array(stack)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_stacks())
+def test_positive_definite_reads_the_sign_of_the_smallest_eigenvalue(case):
+    # Against eigvalsh: True exactly where the smallest eigenvalue is
+    # positive, wherever it lies clear of 0 by more than rounding; an exact
+    # zero pivot and a nan or an inf read False.
+    kinds, stack = case
+    definite = positive_definite(stack)
+    assert definite.shape == (len(stack),) and definite.dtype == bool
+    for kind, A, got in zip(kinds, stack, definite):
+        if not np.all(np.isfinite(A)):
+            assert not got
+            continue
+        lam = np.linalg.eigvalsh(A)
+        if kind in ("zero row", "repeated") and abs(lam[0]) < 1e-12 * (1.0 + abs(lam[-1])):
+            assert not got
+        elif abs(lam[0]) > 1e-8 * (1.0 + abs(lam[-1])):
+            assert got == (lam[0] > 0.0)
+
+
+def test_positive_definite_keeps_its_input():
+    A = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    before = A.copy()
+    assert positive_definite(A).tolist() == [True, False]
+    assert np.array_equal(A, before)
+
+
+def test_pencil_direction_is_the_bottom_generalized_eigenvector():
+    # Where every sub-pencil has a finite key, the direction is the y-part
+    # of the bottom generalized eigenvector of ([[Q, p], [p', 2w]],
+    # [[R, c], [c', 2v]]), up to scale and sign.
+    import scipy.linalg as sla
+
+    q = random_qfp(np.random.default_rng(61), 6)
+    direction = pencil_direction(q)
+    M = np.block([[q.Q, q.p[:, None]], [q.p[None], np.array([[2.0 * q.w]])]])
+    N = np.block([[q.R, q.c[:, None]], [q.c[None], np.array([[2.0 * q.v]])]])
+    e = sla.eigh(M, N)[1][:6, 0]
+    assert abs(direction @ e) == pytest.approx(np.linalg.norm(direction) * np.linalg.norm(e))
+    # x_N = 0 (c = 0, v = 0): the bottom eigenvector of the pencil
+    # (Q - p p'/2w, R).
+    h = QfpSubproblem(Q=q.Q, p=q.p, w=abs(q.w) + 1.0, R=q.R, c=np.zeros(6), v=0.0)
+    e = sla.eigh(h.Q - np.outer(h.p, h.p) / (2.0 * h.w), h.R)[1][:, 0]
+    direction = pencil_direction(h)
+    assert abs(direction @ e) == pytest.approx(np.linalg.norm(direction) * np.linalg.norm(e))
+
+
+@pytest.mark.parametrize("change", ["gamma near 0", "2w near 0", "c with v = 0", "R not definite", "huge", "nan"])
+def test_pencil_direction_declines_where_a_key_could_be_missing(change):
+    q = random_qfp(np.random.default_rng(62), 5)
+    if change == "gamma near 0":
+        q.v = 0.5 * float(q.c @ np.linalg.solve(q.R, q.c)) + 1e-9
+    elif change == "2w near 0":
+        q.c, q.v, q.w = np.zeros(5), 0.0, 1e-16
+    elif change == "c with v = 0":
+        q.v = 0.0
+    elif change == "R not definite":
+        q.R = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
+    elif change == "huge":
+        q.Q = q.Q * 1e100
+    else:
+        q.p[2] = np.nan
+    assert pencil_direction(q) is None

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 import tracemalloc
 from itertools import combinations
@@ -25,6 +26,7 @@ from sgevp.subproblem import (
     MAX_BLOCK_SIZE,
     RANK_BAND,
     RANK_CHUNK,
+    SCREEN_ABOVE,
     BlockSubproblem,
     _orthant_bounds,
     _pencil_keys,
@@ -33,7 +35,7 @@ from sgevp.subproblem import (
     solve_exact,
 )
 
-from _util import random_problem, random_qfp, random_spd
+from _util import random_problem, random_qfp, random_spd, random_sym
 
 
 def brute_force(sub, rng, restarts=5):
@@ -411,7 +413,7 @@ def check_ranked_matches_loop(sub, method, solve, strict=True):
         assert keys[i] > value + RANK_BAND * (1.0 + abs(value))
     assert z.tobytes() == z_loop.tobytes()
     assert value == value_loop
-    support, _ = _ranked(sub.qfp, q, solve)
+    support = _ranked(sub.qfp, q, solve)[0]
     assert tuple(support) == support_loop
 
 
@@ -712,7 +714,7 @@ def test_ranking_never_picks_a_nan_value(monkeypatch):
 
     z_loop, value_loop, support_loop, values, _ = exact_by_loop(sub, diverging)
     assert np.isnan(values[0]) and np.all(np.isfinite(values[1:]))
-    support, sol = _ranked(qfp, 2, diverging)
+    support, sol = _ranked(qfp, 2, diverging)[:2]
     assert tuple(support) == support_loop and sol.value == value_loop
     monkeypatch.setattr(subproblem, "solve_coordinate_descent", diverging)
     z, value = solve_exact(sub, "coordinate-descent")
@@ -767,9 +769,152 @@ def test_ranking_when_bisection_escape_stops_short_of_the_infimum():
     assert solve_exact(sub)[0].tobytes() == z.tobytes()
 
 
+@st.composite
+def screened_cases(draw, lower_bound):
+    """(qfp, q) of a block of k = 11..14 coordinates with budget 3, 4,
+    k - 4 or k - 3, so more supports than SCREEN_ABOVE (165 to 1,001), and
+    lower_bound: x_N = 0 (gamma = 0) or not, zero entries in
+    A (exact ties and hard cases), C the identity, a random SPD matrix or a
+    rank-deficient one plus a 1e-6 ridge."""
+    k = draw(st.integers(11, 14))
+    n = k + draw(st.integers(0, 3))
+    entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+    M = draw(arrays(float, (n, n), elements=entries))
+    kind = draw(st.sampled_from(["identity", "spd", "ridge"]))
+    if kind == "identity":
+        C = np.eye(n)
+    else:
+        rank = n if kind == "spd" else draw(st.integers(1, n))
+        G = draw(arrays(float, (n, rank), elements=st.floats(-4.0, 4.0)))
+        C = G @ G.T / n + (0.5 if kind == "spd" else 1e-6) * np.eye(n)
+    q = draw(st.sampled_from([3, 4, k - 4, k - 3]))
+    outside = draw(st.lists(st.integers(k, n - 1), unique=True)) if n > k else []
+    inside = draw(st.lists(st.integers(0, k - 1), min_size=0 if outside else 1, max_size=q, unique=True))
+    x = np.zeros(n)
+    x[outside + inside] = draw(
+        arrays(float, len(outside + inside), elements=st.sampled_from([-2.0, -0.5, 1.0, 1.5])),
+    )
+    problem = ProblemInstance(A=0.5 * (M + M.T), C=C, s=len(outside) + q, lower_bound=lower_bound)
+    sub = build_block_subproblem(problem, x, np.arange(k), draw(st.sampled_from([0.0, 1e-5])))
+    return sub.qfp, q
+
+
+def ranked_solves(qfp, q, solve, screen_above):
+    """The supports _ranked hands to solve, in order, and its result as
+    bytes (or the type of the error it raised), with the screen from
+    screen_above supports up."""
+    calls = []
+
+    def recording(restricted):
+        calls.append(restricted.Q.tobytes() + restricted.p.tobytes() + restricted.c.tobytes())
+        return solve(restricted)
+
+    saved, subproblem.SCREEN_ABOVE = subproblem.SCREEN_ABOVE, screen_above
+    try:
+        support, sol = _ranked(qfp, q, recording)[:2]
+        result = support.tobytes(), sol.y.tobytes(), np.float64(sol.value).tobytes()
+    except (SgevpError, RuntimeWarning) as error:
+        result = type(error)
+    finally:
+        subproblem.SCREEN_ABOVE = saved
+    return calls, result
+
+
+@pytest.mark.parametrize("solve, lower_bound", [
+    (solve_bisection, None), (solve_coordinate_descent, None), (solve_coordinate_descent, -1.0),
+])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_screened_ranking_solves_what_full_enumeration_solves(solve, lower_bound, data):
+    # The screen keys only the supports it cannot rule out, yet the route's
+    # solver sees the same supports in the same order, and the result is
+    # the same to the bit, as when every support is keyed.
+    qfp, q = data.draw(screened_cases(lower_bound))
+    assert ranked_solves(qfp, q, solve, SCREEN_ABOVE) == ranked_solves(qfp, q, solve, math.inf)
+
+
+def pca_block(k, q):
+    """A block of k coordinates with budget q from a 300 x 100 PCA problem,
+    x_N != 0 (gamma > 0)."""
+    problem = dataclasses.replace(build_pca(gen_randn(300, 100, 3)), s=q + 2)
+    x = np.zeros(problem.dim)
+    x[[40, 41]] = [0.6, -0.8]
+    return build_block_subproblem(problem, x, np.arange(k), 1e-5)
+
+
+def test_screen_keys_few_supports_of_a_pca_block(monkeypatch):
+    # k = 12, q = 6: 924 supports; the screen rules out all but a few
+    # before any key is computed, and the winner is the full loop's.
+    sub = pca_block(12, 6)
+    keyed = []
+
+    def counted(qfp, supports):
+        keyed.append(len(supports))
+        return _pencil_keys(qfp, supports)
+
+    monkeypatch.setattr(subproblem, "_pencil_keys", counted)
+    tally = [0, 0, 0]
+    z, value = solve_exact(sub, tally=tally)
+    assert tally == [924, sum(keyed), 1] and sum(keyed) < 20
+    z_loop, value_loop = exact_by_loop(sub)[:2]
+    assert z.tobytes() == z_loop.tobytes() and value == value_loop
+
+
+def test_screen_keys_the_ruled_out_supports_where_the_loop_reaches_tau(monkeypatch):
+    # Coordinate descent with lower_bound = -1 stops above the keys of the
+    # few live supports of this k = 12, q = 5 block, so the best value plus
+    # the band reaches tau: the ruled-out supports are keyed after all, and
+    # the loop goes on over every unsolved support, as the full loop would.
+    qfp = dataclasses.replace(pca_block(12, 5).qfp, lower_bound=-1.0)
+    sub = BlockSubproblem(qfp=qfp, budget=5)
+    live = subproblem._screen(qfp, np.array(list(combinations(range(12), 5))))[1]
+    keyed = []
+
+    def counted(qfp, supports):
+        keyed.append(len(supports))
+        return _pencil_keys(qfp, supports)
+
+    monkeypatch.setattr(subproblem, "_pencil_keys", counted)
+    z, value = solve_exact(sub, "coordinate-descent")
+    assert 1 < live.size < 792 // 2 and keyed == [1, live.size, 792 - live.size]
+    z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
+    assert z.tobytes() == z_loop.tobytes() and value == value_loop
+    monkeypatch.setattr(subproblem, "_pencil_keys", _pencil_keys)
+    assert ranked_solves(qfp, 5, solve_coordinate_descent, SCREEN_ABOVE) == ranked_solves(
+        qfp, 5, solve_coordinate_descent, math.inf,
+    )
+
+
+def test_screen_rules_out_only_supports_keyed_above_tau():
+    # Every support the inertia test rules out has a key above tau, on
+    # identity, SPD and ridge C, with x_N = 0 and without.
+    rng = np.random.default_rng(55)
+    screened = 0
+    for trial in range(24):
+        k, q = 12, int(rng.integers(3, 10))
+        n = k + 3
+        C = [np.eye(n), random_spd(rng, n), random_spd(rng, n, ridge=1e-6)][trial % 3]
+        problem = ProblemInstance(A=random_sym(rng, n), C=C, s=q + (trial % 2) * 2)
+        x = np.zeros(n)
+        x[[1, 4, 13, 14][: 2 + (trial % 2) * 2]] = rng.standard_normal(2 + (trial % 2) * 2)
+        sub = build_block_subproblem(problem, x, np.arange(k), 1e-5)
+        q = min(sub.budget, k)
+        supports = np.array(list(combinations(range(k), q)))
+        screen = subproblem._screen(sub.qfp, supports)
+        if screen is None:
+            continue
+        tau, live = screen
+        out = np.ones(len(supports), dtype=bool)
+        out[live] = False
+        keys = _pencil_keys(sub.qfp, supports)
+        assert np.all(keys[out] > tau)
+        screened += out.sum() > len(supports) // 2
+    assert screened >= 16
+
+
 def test_ranked_enumeration_at_block_size_cap():
     # k = 20, q = 10: 184,756 supports, ranked in chunks; stacked at once
-    # they would take over 1 GB.
+    # they would take over 1 GB.  The screen keys under 1% of them.
     rng = np.random.default_rng(51)
     n = MAX_BLOCK_SIZE + 2
     G = rng.standard_normal((n, n))
@@ -778,13 +923,15 @@ def test_ranked_enumeration_at_block_size_cap():
     x[[0, 3, n - 2, n - 1]] = rng.standard_normal(4)
     sub = build_block_subproblem(problem, x, np.arange(MAX_BLOCK_SIZE), 1e-5)
     assert sub.budget == 10
+    tally = [0, 0, 0]
     tracemalloc.start()
     try:
-        z, value = solve_exact(sub)
+        z, value = solve_exact(sub, tally=tally)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+    assert tally[0] == 184_756 and tally[1] < 0.01 * tally[0]
     support = np.flatnonzero(z)
     assert support.size == 10
     assert value == solve_bisection(restrict(sub.qfp, support)).value

@@ -8,7 +8,9 @@ trailing window.  Block-k / block-2 stationarity diagnostics live here too.
 No step costs an n x n product: a candidate's objective and its x'Cx come
 from one quadratic_forms call over its support, and that x'Cx serves the
 accept test, the denominator floor and the trace; polish and the
-certificate score swaps from problems.products.
+certificate score swaps from problems.products, and polish reads its
+one-coordinate blocks and budget-1 swap pairs from them as lines, with
+no block assembled.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, inf, isnan
+from typing import NamedTuple
 
 import numpy as np
 
@@ -255,41 +258,49 @@ def _polish(problem, config, x, f, trace, start):
     blocks over the support, then a resweep of all swap pairs, repeated
     until neither moves, for at most POLISH_ROUNDS rounds.  Every move is
     an exact proximal block solve, so the sufficient-decrease invariant is
-    preserved.  A block of one or two coordinates costs O(s^2) to assemble
-    (build_block_subproblem reads only the support) and a one-coordinate
-    block is solved in closed form.  A swap pair {i, j} with x_i = x_j = 0
-    and ||x||_0 = s is skipped: its budget is 0, so the move is the
-    identity and would be rejected.
+    preserved.  A swap pair {i, j} with x_i = x_j = 0 and ||x||_0 = s is
+    skipped: its budget is 0, so the move is the identity and would be
+    rejected.
 
-    Every other block is screened first: where its feasible points form
-    lines, _block_floor bounds f on them from below, and a block whose
-    floor lies above f - tol (by a rounding margin) is not solved.  Its
-    solution is one of those points, so the move would have been rejected
-    anyway, and the screen changes no result.  A@x and C@x, which the floor
-    reads, are refreshed after every accepted move.  trace.polish
-    records the rounds and the block counts.  Returns (x, f, out_of_time);
-    time_limit is checked before every block solve.
+    Where a block's feasible points form lines (_lines: a one-coordinate
+    block, and a swap pair with x_j = 0 and budget 1), the block is read
+    from A@x, C@x, x'Ax, x'Cx and ||x||_0, computed once per iterate
+    (_iterate) and refreshed after every accepted move, in O(1) reads of A
+    and C.  Such a block is screened first: _block_floor bounds f on its
+    lines from below, and a block whose floor lies above f - tol (by a
+    rounding margin) is not solved.  Its solution is one of those points,
+    so the move would have been rejected anyway, and the screen changes no
+    result.  A block that is not screened out is solved on the same lines
+    (_line_move), or, where they do not decide it, assembled and solved by
+    _block_move.  trace.polish records the rounds and the block counts.
+    Returns (x, f, out_of_time); time_limit is checked before every block
+    solve.
     """
     tol = 1e-9 * (1.0 + abs(f))
     summary = trace.polish = PolishSummary(start=trace.iterations)
+    it = _iterate(problem, x)
 
     def out_of_time() -> bool:
         return config.time_limit is not None and time.perf_counter() - start > config.time_limit
 
-    def try_block(B, floor):
-        """Solve block B exactly unless its floor shows that no solution
-        can be accepted; the improved (x, f), or None."""
-        size = B.size - 1
-        if floor >= f - tol + 1e-12 * (1.0 + abs(f)):
+    def try_block(i, j=None):
+        """Solve block {i}, or the pair {i, j}, exactly unless its floor
+        shows that no solution can be accepted; the improved (x, f), or
+        None."""
+        size = 0 if j is None else 1
+        if _block_floor(problem, it, i, j) >= f - tol + 1e-12 * (1.0 + abs(f)):
             summary.screened[size] += 1
             return None
         summary.solved[size] += 1
-        step = _block_move(problem, x, B, config.theta, config.subsolver, trace.supports)
+        B = np.array([i]) if j is None else np.array(sorted((int(i), int(j))))
+        step = _line_move(problem, it, i, j, config.theta, config.subsolver, trace.supports)
+        if step is None:
+            step = _block_move(problem, it.x, B, config.theta, config.subsolver, trace.supports)
         if step is None:
             return None
         x_new, f_new, den_new = step
-        if f_new < f - tol and sufficient_decrease(config.theta, x, f, x_new, f_new, den_new):
-            trace.record(x, x_new, f, f_new, _checked_denominator(den_new), start, B)
+        if f_new < f - tol and sufficient_decrease(config.theta, it.x, f, x_new, f_new, den_new):
+            trace.record(it.x, x_new, f, f_new, _checked_denominator(den_new), start, B)
             summary.accepted[size] += 1
             return x_new, f_new
         return None
@@ -297,91 +308,187 @@ def _polish(problem, config, x, f, trace, start):
     for _ in range(POLISH_ROUNDS):
         summary.rounds += 1
         moved = False
-        Ax, Cx = products(problem, x)
-        for i in sorted(np.flatnonzero(x != 0.0)):
+        for i in sorted(np.flatnonzero(it.x != 0.0)):
             if out_of_time():
-                return x, f, True
-            step = try_block(np.array([i]), _block_floor(problem, x, Ax, Cx, i))
+                return it.x, f, True
+            step = try_block(i)
             if step is not None:
                 x, f = step
                 moved = True
-                Ax, Cx = products(problem, x)
+                it = _iterate(problem, x)
         # Swap pairs in the order (support, zero) as they stood at the start
         # of the sweep, all scored in one pass; the scores go stale only on
         # an accepted move, which rescores this row and the rows after it.
-        S, Z = support_and_zero(x)
-        D = swap_scores(problem, x, Ax, Cx, f, S, Z)
+        S, Z = support_and_zero(it.x)
+        D = swap_scores(problem, it.x, it.Ax, it.Cx, f, S, Z)
         for a, i in enumerate(S):
             col = -1
             # The next improving pair of this row, read from the current scores.
             while (ahead := np.flatnonzero(D[a, col + 1:] < -tol)).size:
                 col += 1 + int(ahead[0])
                 j = Z[col]
-                if x[i] == 0.0 and x[j] == 0.0 and np.count_nonzero(x) == problem.s:
+                if it.x[i] == 0.0 and it.x[j] == 0.0 and it.nnz == problem.s:
                     continue  # budget 0 and x_B = 0: the move is the identity
                 if out_of_time():
-                    return x, f, True
-                floor = _block_floor(problem, x, Ax, Cx, i, j)
-                step = try_block(np.array(sorted((int(i), int(j)))), floor)
+                    return it.x, f, True
+                step = try_block(i, j)
                 if step is not None:
                     x, f = step
                     moved = True
-                    Ax, Cx = products(problem, x)
-                    D[a:] = swap_scores(problem, x, Ax, Cx, f, S[a:], Z)
+                    it = _iterate(problem, x)
+                    D[a:] = swap_scores(problem, it.x, it.Ax, it.Cx, f, S[a:], Z)
         if not moved:
             break
     else:
         summary.capped = True
-    return x, f, False
+    return it.x, f, False
 
 
-def _block_floor(problem, x, Ax, Cx, i, j=None) -> float:
-    """A lower bound on f over the feasible points of polish's block {i},
-    or of the swap pair {i, j}, at x; Ax and Cx are A@x and C@x.
+class _Iterate(NamedTuple):
+    """An iterate x with what polish's lines read of it."""
 
-    The bound is the infimum of f over lines, where the block's feasible
-    points make up lines: for {i}, the line x + beta e_i with
-    x_i + beta >= lower_bound; for {i, j} with x_j = 0 and budget 1, that
-    line and the line along e_j from x with x_i set to 0.  On a line
-    beta >= lower, f is the 1-D program of solve_1d_core, whose value
-    covers the stationary points and the bound (both roots are clamped to
-    it); min with the limit a/r at infinity covers a ray that falls
-    towards that limit.
+    x: np.ndarray
+    Ax: np.ndarray
+    Cx: np.ndarray
+    xAx: float
+    xCx: float
+    nnz: int  # ||x||_0
 
-    -inf (no bound, so the block is solved) where x is zero outside the
-    block (the lines pass through 0, where the ratio is 0/0, as in
-    swap_scores' axis case), for a pair with x_j != 0 or a budget of 2 or
-    more, and where the kernel raises.
+
+def _iterate(problem, x) -> _Iterate:
+    Ax, Cx = products(problem, x)
+    return _Iterate(x, Ax, Cx, float(x @ Ax), float(x @ Cx), int(np.count_nonzero(x)))
+
+
+def _dropped(problem, it, i, theta):
+    """(c, t), the constants of the line along e_j from x - x_i e_i: half
+    its x'Ax plus theta x_i^2 / 2, the proximal term of setting x_i to 0,
+    and half its x'Cx, from A@x and C@x."""
+    xi = float(it.x[i])
+    num = it.xAx - 2.0 * xi * float(it.Ax[i]) + xi * xi * float(problem.A[i, i])
+    den = it.xCx - 2.0 * xi * float(it.Cx[i]) + xi * xi * float(problem.C[i, i])
+    return 0.5 * num + 0.5 * theta * xi * xi, 0.5 * den
+
+
+def _lines(problem, it, i, j=None, theta=0.0):
+    """The lines that make up the feasible points of polish's block {i},
+    or of the swap pair {i, j}, at the iterate it, each as
+    (m, offset, a, b, c, r, s, t, lower): the points with x_m =
+    offset + beta, beta >= lower, on which the block objective with
+    proximal weight theta is the 1-D program
+    (a/2 beta^2 + b beta + c) / (r/2 beta^2 + s beta + t) of
+    solve_1d_core; theta = 0 gives f itself.
+
+    For {i}: the line x + beta e_i with x_i + beta >= lower_bound, whose
+    coefficients are A_ii + theta, (Ax)_i, x'Ax/2, C_ii, (Cx)_i and
+    x'Cx/2.  For {i, j} with x_j = 0 and budget 1: that line and the line
+    along e_j from x - x_i e_i (_dropped).  None where the block's
+    feasible points are not such lines: x zero outside the block (the
+    lines pass through 0, where the ratio is 0/0, as in swap_scores' axis
+    case), a pair with x_j != 0 (a 2-D block) or a budget of 2 or more.
     """
+    xi = float(it.x[i])
+    outside = it.nnz - (xi != 0.0)
+    if outside == 0:
+        return None
     A, C = problem.A, problem.C
     lb = -inf if problem.lower_bound is None else problem.lower_bound
-    xi = float(x[i])
-    outside = np.count_nonzero(x) - (xi != 0.0)
-    if outside == 0:
-        return -inf
-    xAx, xCx = float(x @ Ax), float(x @ Cx)
-    lines = [(i, float(Ax[i]), xAx, float(Cx[i]), xCx, lb - xi)]
+    lines = [(
+        i, xi, float(A[i, i]) + theta, float(it.Ax[i]), 0.5 * it.xAx,
+        float(C[i, i]), float(it.Cx[i]), 0.5 * it.xCx, lb - xi,
+    )]
     if j is not None:
         # The pair's budget is s - outside; x_j != 0 leaves a 2-D block.
-        if x[j] != 0.0 or outside != problem.s - 1:
-            return -inf
+        if it.x[j] != 0.0 or outside != problem.s - 1:
+            return None
+        c, t = _dropped(problem, it, i, theta)
         lines.append((
-            j,
-            float(Ax[j]) - xi * float(A[j, i]),
-            xAx - 2.0 * xi * float(Ax[i]) + xi * xi * float(A[i, i]),
-            float(Cx[j]) - xi * float(C[j, i]),
-            xCx - 2.0 * xi * float(Cx[i]) + xi * xi * float(C[i, i]),
-            lb,
+            j, 0.0, float(A[j, j]) + theta, float(it.Ax[j]) - xi * float(A[j, i]), c,
+            float(C[j, j]), float(it.Cx[j]) - xi * float(C[j, i]), t, lb,
         ))
+    return lines
+
+
+def _block_floor(problem, it, i, j=None) -> float:
+    """A lower bound on f over the feasible points of polish's block {i},
+    or of the swap pair {i, j}, at the iterate it: the infimum of f over
+    the block's lines (_lines, theta = 0).
+
+    On a line beta >= lower, f is the 1-D program of solve_1d_core, whose
+    value covers the stationary points and the bound (both roots are
+    clamped to it); min with the limit a/r at infinity covers a ray that
+    falls towards that limit.  -inf (no bound, so the block is solved)
+    where the block is not made of lines and where the kernel raises.
+    """
+    lines = _lines(problem, it, i, j)
+    if lines is None:
+        return -inf
     floor = inf
-    for m, b, num, s, den, lower in lines:
-        a, r = float(A[m, m]), float(C[m, m])
+    for _, _, a, b, c, r, s, t, lower in lines:
         try:
-            _, value = solve_1d_core(a, b, 0.5 * num, r, s, 0.5 * den, lower)
+            _, value = solve_1d_core(a, b, c, r, s, t, lower)
         except (DegenerateDenominator, UnboundedBelow):
             return -inf
         floor = min(floor, value, a / r)
     return floor
+
+
+def _line_move(problem, it, i, j, theta, method="bisection", tally=None):
+    """_block_move of polish's block {i}, or of the swap pair {i, j},
+    solved on its lines (_lines) with no block assembled:
+    (x_new, f_new, den_new), or None where the lines do not decide the
+    block and _block_move must.
+
+    Each line is one support of the block, {i} or {j}, and is solved by
+    solve_1d_core under subproblem._one_coordinate's rules: None where the
+    denominator is not positive on the whole line, where the kernel
+    raises or its point overflows the denominator, and, on the bisection
+    route (method "bisection" without a lower bound), where the limit a/r
+    at infinity lies below the kernel's value (solve_bisection escapes
+    towards it).  On the coordinate-descent route x_m stays 0 (the
+    point x - x_i e_i) unless the kernel's point is nonzero and lowers the
+    value below that point's.  Of equal values the lower index wins, as in
+    combination order.  f_new and den_new = x_new'C x_new come from one
+    quadratic_forms call over supp(x_new); tally gains what solve_exact
+    would count, every support enumerated and solved.
+    """
+    lines = _lines(problem, it, i, j, theta)
+    if lines is None:
+        return None
+    bisection = method == "bisection" and problem.lower_bound is None
+    lb = -inf if problem.lower_bound is None else problem.lower_bound
+    if not bisection:
+        c0, t0 = _dropped(problem, it, i, theta)
+        if not t0 > 0.0:
+            return None
+        zero = c0 / t0
+    moves = []
+    for m, offset, a, b, c, r, s, t, lower in sorted(lines):
+        if not 2.0 * t * r > s * s:
+            return None
+        try:
+            beta, value = solve_1d_core(a, b, c, r, s, t, lower)
+        except (DegenerateDenominator, UnboundedBelow):
+            return None
+        if not 0.5 * r * beta * beta + s * beta + t < inf:
+            return None
+        z = max(offset + beta, lb)
+        if bisection:
+            if a / r < value:
+                return None
+        elif not (z != 0.0 and value < zero):
+            z, value = 0.0, zero
+        moves.append((m, z, value))
+    # The first of equal values wins; nan ranks last.
+    m, z, _ = min(moves, key=lambda move: (isnan(move[2]), move[2]))
+    x_new = it.x.copy()
+    x_new[i] = 0.0
+    x_new[m] = z
+    if tally is not None:
+        tally[0] += len(lines)
+        tally[2] += len(lines)
+    num, den = quadratic_forms(problem, x_new)
+    return x_new, num / den, den
 
 
 def _blocks(n: int, k: int):

@@ -9,7 +9,11 @@ size min(q, k) (support monotonicity makes the smaller sizes redundant) and
 solves each restricted quadratic fractional program globally.  A
 one-coordinate support, a whole block or one of many, is the 1-D program,
 read from the block and solved in closed form wherever the route's solver
-would return the same value up to rounding (_one_coordinate).
+would return the same value up to rounding (_one_coordinate).  Polish's
+one-coordinate blocks and budget-1 swap pairs reach this module only
+where their lines leave them undecided: decomposition._line_move reads
+the same 1-D programs from A@x and C@x, under _one_coordinate's rules,
+without assembling a block.
 
 Each support of q >= 2 coordinates gets one lower bound on the value its
 solver returns, all before any support is solved; the supports are solved
@@ -61,6 +65,7 @@ ruled out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -96,6 +101,10 @@ RANK_BAND = 1e-9
 # screened time over the full one reads 1.05 at 80-99 supports, 0.92 at
 # 120-139, 0.78 at 220 (k = 12, q = 3) and 0.28-0.46 from 495 up.
 SCREEN_ABOVE = 128
+# Face lattices kept, one per block shape (k, q); a run keys at most seven
+# shapes (one k, q = 2..8).  The largest, k = 20 and q = 8, holds about
+# 10 MB (int32 child positions, int8 coordinates).
+FACE_LATTICES = 8
 
 
 @dataclass
@@ -200,7 +209,8 @@ def _one_coordinate(qfp: QfpSubproblem, i, solve) -> QfpSolution:
     towards infinity.  On the coordinate-descent route the result is
     coordinate descent's first move from y = 0, taken only if it lowers the
     value below w/v; the full solve can still move it by an ulp, so the two
-    agree to rounding, not bit for bit.
+    agree to rounding, not bit for bit.  decomposition._line_move applies
+    these rules to polish's lines; a change here belongs there too.
     """
     Q, p, R, c, w, v = (
         float(qfp.Q[i, i]), float(qfp.p[i]), float(qfp.R[i, i]), float(qfp.c[i]), qfp.w, qfp.v,
@@ -268,10 +278,8 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     and the loop goes on over every unsolved support in (key, index)
     order, as the full loop would.
     """
-    total = math.comb(qfp.dim, q)
-    supports = np.fromiter(
-        chain.from_iterable(combinations(range(qfp.dim), q)), dtype=np.intp, count=total * q,
-    ).reshape(total, q)
+    supports = _supports(qfp.dim, q)
+    total = len(supports)
     tau, keyed = math.inf, 0
     if q == 1 or total == 1:
         bounds, order = np.full(total, -math.inf), np.arange(total)
@@ -317,6 +325,15 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     # The first of equal values wins; nan ranks last.
     best = min(sorted(solved), key=lambda i: (math.isnan(solved[i].value), solved[i].value))
     return supports[best], solved[best], keyed, len(solved)
+
+
+def _supports(k: int, q: int) -> np.ndarray:
+    """Every support of q of k coordinates, as rows of indices in
+    combination order."""
+    total = math.comb(k, q)
+    return np.fromiter(
+        chain.from_iterable(combinations(range(k), q)), dtype=np.intp, count=total * q,
+    ).reshape(total, q)
 
 
 def _banded(value: float) -> float:
@@ -395,41 +412,63 @@ def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
 
     It is the smallest infimum over y > 0 on the support's faces, the
     sub-supports, empty face included.  The empty face is the point y = 0,
-    with value w/v, mask 0; every other face, one coordinate or more, is
-    computed stacked per size (qfp.face_infima), only those under the
-    given supports.  A face that cannot be trusted reads -inf, which leaves
-    its supports unranked: _ranked solves them first.  The faces under the
-    supports are held per size as a sorted array of bitmasks and, aligned
-    with it, the smallest face infimum under each, filled size by size from
-    the faces one smaller (looked up with searchsorted), from the empty
-    face up: memory scales with the faces used, at most C(k, size) of a
-    size, not with the 2^k masks.
+    with value w/v; every other face, one coordinate or more, is computed
+    stacked per size (qfp.face_infima) over the face lattice of the
+    block's shape (_face_lattice).  A face that cannot be trusted reads
+    -inf, which leaves its supports unranked: _ranked solves them first.
+    The smallest face infimum under each face is filled size by size from
+    the faces one smaller, from the empty face up.
     """
     k, q = qfp.dim, supports.shape[1]
     w, v = qfp.w, qfp.v
     # y = 0 is a point only where v > 0; with v <= 0 the ratio tends to +inf
     # towards y = 0 if w > 0 and cannot be bounded otherwise.
     empty = w / v if v > 0.0 else (math.inf if w > 0.0 else -math.inf)
+    masks, lattice = _face_lattice(k, q)
+    values = np.array([empty])
+    for children, faces in lattice:
+        below = values[children].min(axis=1)
+        infima = []
+        for start in range(0, len(faces), RANK_CHUNK):
+            chunk = faces[start:start + RANK_CHUNK]
+            S, T = chunk[:, :, None], chunk[:, None, :]
+            infima.append(
+                face_infima(qfp.Q[S, T], qfp.p[chunk], w, qfp.R[S, T], qfp.c[chunk], v)
+            )
+        values = np.minimum(np.concatenate(infima), below)
+    return values[np.searchsorted(masks, (1 << supports).sum(axis=1))]
+
+
+@functools.lru_cache(maxsize=FACE_LATTICES)
+def _face_lattice(k: int, q: int):
+    """(masks, lattice): the faces of the size-q supports of a block of k
+    coordinates, which depend on (k, q) only, built once per shape.
+
+    masks is the sorted array of the supports' bitmasks.  lattice holds,
+    for each face size from 1 to q, (children, faces): for each face of
+    that size, in bitmask order, the positions of its drop-one faces among
+    the faces one smaller (the empty face alone below size 1) and its
+    coordinates.  Memory scales with the faces of sizes 1..q, at most
+    C(k, size) of a size, not with the 2^k masks; the arrays are read-only.
+    """
     bits = 1 << np.arange(k)
-    support_masks = bits[supports].sum(axis=1)
-    levels, masks = [], np.unique(support_masks)
+    levels, masks = [], np.unique(bits[_supports(k, q)].sum(axis=1))
     for size in range(q, 0, -1):
         levels.append(masks)
         masks = np.unique(_drop_one(masks, bits, size))
-    # (masks, values): the faces of one size, from the empty face (masks is
-    # now [0]) upwards.
-    values = np.array([empty])
+    lattice = []
     for size, upper in enumerate(reversed(levels), start=1):
-        below = values[np.searchsorted(masks, _drop_one(upper, bits, size))].min(axis=1)
-        infima = []
+        children = np.searchsorted(masks, _drop_one(upper, bits, size)).astype(np.int32)
+        faces = np.empty((upper.size, size), dtype=np.int8)
         for start in range(0, upper.size, RANK_CHUNK):
-            faces = np.nonzero(upper[start:start + RANK_CHUNK, None] & bits)[1].reshape(-1, size)
-            S, T = faces[:, :, None], faces[:, None, :]
-            infima.append(
-                face_infima(qfp.Q[S, T], qfp.p[faces], w, qfp.R[S, T], qfp.c[faces], v)
-            )
-        masks, values = upper, np.minimum(np.concatenate(infima), below)
-    return values[np.searchsorted(masks, support_masks)]
+            chunk = upper[start:start + RANK_CHUNK, None] & bits
+            faces[start:start + RANK_CHUNK] = np.nonzero(chunk)[1].reshape(-1, size)
+        for array in (children, faces):
+            array.flags.writeable = False
+        lattice.append((children, faces))
+        masks = upper
+    masks.flags.writeable = False
+    return masks, tuple(lattice)
 
 
 def _drop_one(masks: np.ndarray, bits: np.ndarray, size: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from sgevp.errors import (
     InvalidK,
     SgevpError,
     TooLarge,
+    UnboundedBelow,
     ZeroVector,
 )
 from sgevp.fractional1d import OneDimCoefficients, solve_1d, solve_1d_core, solve_1d_values
@@ -382,6 +383,9 @@ def test_trace_counts_the_supports_of_every_block_solve(monkeypatch, app, subsol
     # budget is 0), the supports handed to the pencil keys and the face
     # bounds, and the supports solved, by the route's solver or by
     # _one_coordinate (whose own deferrals to the solver count once).
+    # Polish's blocks solved on their lines (_line_move) count one support
+    # per coordinate, each solved; a block the lines leave undecided goes
+    # to solve_exact and is counted there.
     data = gen_randn(150, 50, 3)
     problem = dataclasses.replace(build_pca(data) if app == "pca" else build_fda(data), s=6)
     problem = dataclasses.replace(problem, lower_bound=lower_bound)
@@ -410,7 +414,18 @@ def test_trace_counts_the_supports_of_every_block_solve(monkeypatch, app, subsol
                 nested.pop()
         return wrapped
 
+    def on_lines(function):
+        def wrapped(problem, it, i, j, *args):
+            step = function(problem, it, i, j, *args)
+            if step is not None:
+                size = 1 if j is None else 2
+                counts[0] += size
+                counts[2] += size
+            return step
+        return wrapped
+
     monkeypatch.setattr(decomposition, "solve_exact", enumerated(decomposition.solve_exact))
+    monkeypatch.setattr(decomposition, "_line_move", on_lines(decomposition._line_move))
     for name, wrap in [
         ("_pencil_keys", keyed), ("_orthant_bounds", keyed), ("_one_coordinate", solved),
         ("solve_bisection", solved), ("solve_coordinate_descent", solved),
@@ -424,9 +439,11 @@ def test_trace_counts_the_supports_of_every_block_solve(monkeypatch, app, subsol
 def test_polish_skips_budget_zero_swap_blocks(monkeypatch):
     # Once a swap has taken i out of a full support, the pair {i, j} has
     # x_B = 0 and budget 0, so its move is the identity; without the skip,
-    # polish solves 117 such blocks on this instance.
+    # polish solves 117 such blocks on this instance.  Blocks are counted
+    # where they are solved: on their lines (_line_move) or by solve_exact.
     problem = dataclasses.replace(build_pca(gen_randn(300, 100, 14001)), s=6)
     polish, solve_exact = decomposition._polish, decomposition.solve_exact
+    line_move = decomposition._line_move
     in_polish, blocks = [], []
 
     def traced_polish(*args):
@@ -441,8 +458,16 @@ def test_polish_skips_budget_zero_swap_blocks(monkeypatch):
             blocks.append((sub.qfp.dim, sub.budget))
         return solve_exact(sub, method, tally)
 
+    def traced_line_move(problem, it, i, j, *args):
+        step = line_move(problem, it, i, j, *args)
+        if in_polish and step is not None:
+            B = [i] if j is None else [i, j]
+            blocks.append((len(B), problem.s - (it.nnz - np.count_nonzero(it.x[B]))))
+        return step
+
     monkeypatch.setattr(decomposition, "_polish", traced_polish)
     monkeypatch.setattr(decomposition, "solve_exact", traced_solve_exact)
+    monkeypatch.setattr(decomposition, "_line_move", traced_line_move)
     solve(problem, DecompositionConfig(max_iters=8))
     assert any(k == 2 for k, _ in blocks)
     assert all(budget > 0 for _, budget in blocks)
@@ -488,11 +513,14 @@ def test_polish_solves_few_blocks_it_rejects(monkeypatch):
     # The floor screens out the blocks whose solution cannot be accepted:
     # without it, polish solves 279 blocks on this instance and accepts
     # 111.  Bound-unaware swap scores flag 153 pairs that lower_bound = 0
-    # forbids, and 15 single coordinates are already 1-D optimal.
+    # forbids, and 15 single coordinates are already 1-D optimal.  Blocks
+    # are counted where they are solved: on their lines (_line_move) or by
+    # solve_exact.
     problem = dataclasses.replace(
         build_pca(gen_randn(150, 50, 1000)), s=12, lower_bound=0.0,
     )
     polish, solve_exact = decomposition._polish, decomposition.solve_exact
+    line_move = decomposition._line_move
     in_polish, blocks = [], []
 
     def traced_polish(*args):
@@ -507,8 +535,15 @@ def test_polish_solves_few_blocks_it_rejects(monkeypatch):
             blocks.append(sub.qfp.dim)
         return solve_exact(sub, method, tally)
 
+    def traced_line_move(problem, it, i, j, *args):
+        step = line_move(problem, it, i, j, *args)
+        if in_polish and step is not None:
+            blocks.append(1 if j is None else 2)
+        return step
+
     monkeypatch.setattr(decomposition, "_polish", traced_polish)
     monkeypatch.setattr(decomposition, "solve_exact", traced_solve_exact)
+    monkeypatch.setattr(decomposition, "_line_move", traced_line_move)
     trace = solve(problem, DecompositionConfig(k=8, random_count=4, swap_count=4, max_iters=5))
     summary = trace.polish
     accepted = trace.iterations - summary.start
@@ -540,6 +575,7 @@ def test_block_floor_of_an_unbounded_block_is_its_best_line():
     x[[1, 4, 6]] = rng.standard_normal(3)
     f = objective(problem, x)
     Ax, Cx = problem.A @ x, problem.C @ x
+    it = decomposition._iterate(problem, x)
     S, Z = support_and_zero(x)
     one_d = solve_1d_values(
         np.diag(problem.A)[S], Ax[S], 0.5 * float(x @ Ax),
@@ -548,10 +584,10 @@ def test_block_floor_of_an_unbounded_block_is_its_best_line():
     tol = 1e-12 * (1.0 + abs(f))
     swap_wins = 0
     for a, i in enumerate(S):
-        assert abs(decomposition._block_floor(problem, x, Ax, Cx, i) - one_d[a]) <= tol
+        assert abs(decomposition._block_floor(problem, it, i) - one_d[a]) <= tol
         for j in Z:
             swap = swap_descent(problem, x, i, j) + f
-            floor = decomposition._block_floor(problem, x, Ax, Cx, i, j)
+            floor = decomposition._block_floor(problem, it, i, j)
             assert abs(floor - min(swap, one_d[a])) <= tol
             swap_wins += swap < one_d[a]
     assert swap_wins > 0
@@ -573,7 +609,8 @@ def test_block_floor_reads_the_ray_limit_under_a_bound():
     _, kernel = solve_1d_core(0.2, Ax[0], 0.5 * float(x @ Ax), 1.0, Cx[0], 0.5 * float(x @ Cx), -1.0)
     assert kernel == pytest.approx(0.8)
     assert objective(problem, np.array([100.0, 1.0, 0.0])) < 0.21
-    assert decomposition._block_floor(problem, x, Ax, Cx, 0) == pytest.approx(0.2, rel=1e-12)
+    it = decomposition._iterate(problem, x)
+    assert decomposition._block_floor(problem, it, 0) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_block_floor_gives_no_screen_where_it_does_not_apply():
@@ -582,19 +619,19 @@ def test_block_floor_gives_no_screen_where_it_does_not_apply():
     # One nonzero: every line of block {0} or pair {0, j} passes through 0.
     x = np.zeros(6)
     x[0] = 1.5
-    Ax, Cx = problem.A @ x, problem.C @ x
-    assert decomposition._block_floor(problem, x, Ax, Cx, 0) == -math.inf
-    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 3) == -math.inf
+    it = decomposition._iterate(problem, x)
+    assert decomposition._block_floor(problem, it, 0) == -math.inf
+    assert decomposition._block_floor(problem, it, 0, 3) == -math.inf
     # Two nonzeros with s = 3: the pair {0, j} has budget 2.
     x[1] = -0.7
-    Ax, Cx = problem.A @ x, problem.C @ x
-    assert decomposition._block_floor(problem, x, Ax, Cx, 0) > -math.inf
-    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 3) == -math.inf
+    it = decomposition._iterate(problem, x)
+    assert decomposition._block_floor(problem, it, 0) > -math.inf
+    assert decomposition._block_floor(problem, it, 0, 3) == -math.inf
     # x_j != 0: the pair {0, 1} is a 2-D block.
     x[2] = 0.3
-    Ax, Cx = problem.A @ x, problem.C @ x
-    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 3) > -math.inf
-    assert decomposition._block_floor(problem, x, Ax, Cx, 0, 1) == -math.inf
+    it = decomposition._iterate(problem, x)
+    assert decomposition._block_floor(problem, it, 0, 3) > -math.inf
+    assert decomposition._block_floor(problem, it, 0, 1) == -math.inf
 
 
 def test_lower_bound_respected():
@@ -732,3 +769,177 @@ def test_block_move_refuses_an_underflowed_denominator(monkeypatch):
     monkeypatch.setattr(decomposition, "solve_exact", lambda sub, method, tally: (tiny, 0.0))
     with pytest.raises(DenominatorCollapse):
         decomposition._block_move(problem, np.array([0.0, 1.0]), np.array([1]), 0.0)
+
+
+# How far the line move's x_new and f_new may lie from the assembled
+# block's, relative to the larger of |x| and |x_new| and to 1 + |f_new|:
+# the two read the same 1-D programs from coefficients rounded along
+# different sums.  Over 2,000 draws of the oracle below (121,368 blocks
+# decided) the largest gaps read 1.4e-11 and 3.1e-11.
+LINE_MOVE_TOL = 1e-9
+
+
+def line_blocks(problem, x, rng, pairs=30):
+    """Polish's blocks at x that may lie on lines: every one-coordinate
+    block of the support, and up to pairs swap pairs (i, j), drawn by rng,
+    with x_j = 0 and budget 1."""
+    nnz = np.count_nonzero(x)
+    blocks = [(int(i), None) for i in np.flatnonzero(x)]
+    candidates = [
+        (i, int(j)) for i in range(x.size) for j in np.flatnonzero(x == 0.0)
+        if i != j and nnz - (x[i] != 0.0) == problem.s - 1
+    ]
+    if len(candidates) > pairs:
+        candidates = [candidates[c] for c in rng.choice(len(candidates), pairs, replace=False)]
+    return blocks + candidates
+
+
+def assert_line_move_is_the_block_move(problem, x, blocks, theta, method):
+    """On every block (i, j) that _line_move decides, _block_move on the
+    same (x, B) returns a step, not None, with the same support, x_new and
+    f_new within LINE_MOVE_TOL, and the same support tally; returns how
+    many blocks the line move decided."""
+    it = decomposition._iterate(problem, x)
+    decided = 0
+    for i, j in blocks:
+        B = np.array([i]) if j is None else np.array(sorted((i, j)))
+        line_tally, block_tally = [0, 0, 0], [0, 0, 0]
+        line = decomposition._line_move(problem, it, i, j, theta, method, line_tally)
+        block = decomposition._block_move(problem, x, B, theta, method, block_tally)
+        if line is None:
+            continue
+        decided += 1
+        assert block is not None
+        (x_line, f_line, _), (x_block, f_block, _) = line, block
+        assert np.flatnonzero(x_line).tolist() == np.flatnonzero(x_block).tolist()
+        scale = max(np.max(np.abs(x)), np.max(np.abs(x_block)))
+        assert np.max(np.abs(x_line - x_block)) <= LINE_MOVE_TOL * scale
+        assert abs(f_line - f_block) <= LINE_MOVE_TOL * (1.0 + abs(f_block))
+        assert line_tally == block_tally
+        if problem.lower_bound is not None:
+            assert np.all(x_line >= problem.lower_bound)
+    return decided
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(solver_cases(bounded=False), st.sampled_from([None, 0.0, -0.1]), st.integers(0, 2**16))
+def test_line_move_is_the_block_move(case, lower_bound, seed):
+    # At the solver's output and at random points with s and s - 1
+    # nonzeros (inside the bound), on both routes.
+    problem, config = case
+    problem = dataclasses.replace(problem, lower_bound=lower_bound)
+    rng = np.random.default_rng(seed)
+    n, s = problem.dim, problem.s
+    points = [solve(problem, config).x]
+    for size in range(max(s - 1, 1), s + 1):
+        x = np.zeros(n)
+        values = rng.standard_normal(size)
+        if lower_bound is not None:
+            values = lower_bound + np.abs(values) + 1e-3
+        x[rng.choice(n, size, replace=False)] = values
+        points.append(x)
+    for x in points:
+        blocks = line_blocks(problem, x, rng)
+        assert_line_move_is_the_block_move(problem, x, blocks, config.theta, config.subsolver)
+
+
+def test_line_move_decides_polish_blocks_of_every_kind():
+    # The oracle above compares only the blocks the line move decides;
+    # here it decides one-coordinate blocks and pairs on both routes.
+    problem = dataclasses.replace(build_pca(gen_randn(60, 12, 3)), s=4)
+    x = np.zeros(12)
+    x[[1, 4, 6, 9]] = [0.8, 0.5, 0.3, 0.2]
+    rng = np.random.default_rng(0)
+    for lower_bound in (None, 0.0, -0.1):
+        bounded = dataclasses.replace(problem, lower_bound=lower_bound)
+        blocks = line_blocks(bounded, x, rng)
+        assert sum(j is not None for _, j in blocks) == 30
+        for method in ("bisection", "coordinate-descent"):
+            assert assert_line_move_is_the_block_move(bounded, x, blocks, 1e-5, method) == len(blocks)
+
+
+def test_line_move_defers_where_its_lines_do_not_decide_the_block(monkeypatch):
+    rng = np.random.default_rng(6)
+    problem = random_problem(rng, 6, 3)
+
+    def defers(problem, x, i, j=None):
+        B = np.array([i]) if j is None else np.array(sorted((i, j)))
+        it = decomposition._iterate(problem, x)
+        assert decomposition._line_move(problem, it, i, j, 1e-5) is None
+        assert decomposition._block_move(problem, x, B, 1e-5) is not None
+
+    # x zero outside the block: its lines pass through 0.
+    x = np.zeros(6)
+    x[0] = 1.5
+    defers(problem, x, 0)
+    defers(problem, x, 0, 3)
+    # Two nonzeros with s = 3: the pair {0, 3} has budget 2.
+    x[1] = -0.7
+    defers(problem, x, 0, 3)
+    # x_1 != 0: the pair {0, 1} is a 2-D block.
+    x[2] = 0.3
+    defers(problem, x, 0, 1)
+
+    # A kernel that raises, and a kernel point that overflows the
+    # denominator, on a block the lines would otherwise decide.
+    it = decomposition._iterate(problem, x)
+    assert decomposition._line_move(problem, it, 0, None, 1e-5) is not None
+
+    def raises(error):
+        def kernel(*args):
+            raise error("")
+        return kernel
+
+    for kernel in (raises(UnboundedBelow), raises(DegenerateDenominator), lambda *args: (1e300, 0.0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "solve_1d_core", kernel)
+            defers(problem, x, 0)
+            defers(problem, x, 0, 3)
+
+    # A denominator that rounds to 0 on the line: with x = (1, 1e-9) and
+    # C = I, 2 t r - s^2 = x'Cx C_00 - (Cx)_0^2 reads 0, not 1e-18.
+    tiny = ProblemInstance(A=np.diag([1.0, 2.0]), C=np.eye(2), s=2)
+    defers(tiny, np.array([1.0, 1e-9]), 0)
+
+    # The a/r escape: along e_0 from x = (1, 1), f = (theta b^2 + 1) /
+    # (b^2 + 1) falls from 1 at its one stationary point towards theta at
+    # infinity, which solve_bisection approaches by its escape.
+    problem = ProblemInstance(A=np.diag([0.0, 1.0]), C=np.array([[1.0, -1.0], [-1.0, 2.0]]), s=2)
+    defers(problem, np.array([1.0, 1.0]), 0)
+    it = decomposition._iterate(problem, np.array([1.0, 1.0]))
+    assert decomposition._line_move(problem, it, 0, None, 1e-5, "coordinate-descent") is not None
+
+
+@pytest.mark.parametrize("lower_bound", [0.0, -0.1])
+def test_line_move_keeps_z_zero_where_the_bound_stops_coordinate_descent(lower_bound):
+    # Both stationary points of the line x + beta e_0 lie below the bound
+    # (see test_block_floor_reads_the_ray_limit_under_a_bound), so the
+    # kernel's point is x_0 = lower_bound, and coordinate descent keeps
+    # x_0 = 0 where that point does not beat it (f = 0.849 at x_0 = -0.1):
+    # both paths end at x = (0, 1) with f = 0.8, above f(x) = 0.5,
+    # although the ratio falls towards a/r = 0.2 along the ray.
+    A = np.array([[0.2, 0.4], [0.4, 0.8]])
+    C = np.array([[1.0, 0.8], [0.8, 1.0]])
+    problem = ProblemInstance(A=A, C=C, s=2, lower_bound=lower_bound)
+    x = np.array([1.0, 1.0])
+    it = decomposition._iterate(problem, x)
+    for x_new, f_new, _ in (
+        decomposition._line_move(problem, it, 0, None, 1e-5),
+        decomposition._block_move(problem, x, np.array([0]), 1e-5),
+    ):
+        assert x_new.tolist() == [0.0, 1.0]
+        assert f_new == pytest.approx(0.8)
+
+
+def test_line_move_lands_on_the_bound_exactly():
+    # Along e_0 from x = (0.05, 1), f = (u^2 + u) / (u^2 + 1) in u = x_0
+    # falls to its minimum near u = -0.41, below the bound, so both paths
+    # end at x_0 = -0.1; 0.05 + (-0.1 - 0.05) rounds to -0.1 - 2e-17.
+    problem = ProblemInstance(
+        A=np.array([[1.0, 0.5], [0.5, 0.0]]), C=np.eye(2), s=2, lower_bound=-0.1,
+    )
+    x = np.array([0.05, 1.0])
+    it = decomposition._iterate(problem, x)
+    line = decomposition._line_move(problem, it, 0, None, 1e-5)
+    block = decomposition._block_move(problem, x, np.array([0]), 1e-5)
+    assert line[0][0] == block[0][0] == -0.1

@@ -63,3 +63,67 @@ def test_main_refuses_a_directory_without_the_benchmark(tmp_path, capsys):
         pairs.main(["--base", str(tmp_path), "--change", str(tmp_path), "--workload", "pca-enum"])
     assert exit.value.code == 2
     assert "no perfbench/run.py" in capsys.readouterr().err
+
+
+BETTER = {"solve_rel": "lower", "objective_ratio_mean": "higher"}
+
+
+def ten_pairs():
+    """Ten pairs: solve_rel 1.0 lower on the change in nine and tied in
+    the tenth; objective_ratio_mean higher in five and lower in five."""
+    base = [10.0 + 0.2 * i for i in range(10)]
+    change = [b - 1.0 for b in base[:9]] + [base[9]]
+    ratios = [0.6] * 5 + [0.4] * 5
+    run, _ = stub({
+        "base": [line(b, 0.5) for b in base],
+        "change": [line(c, r) for c, r in zip(change, ratios)],
+    })
+    return pairs.run_pairs(run, 10)
+
+
+def test_verdict_counts_pairs_won_in_the_better_direction_and_ties_for_neither():
+    rows = pairs.verdict(ten_pairs(), BETTER)
+    assert [row[:2] for row in rows] == [("solve_rel", "lower"), ("objective_ratio_mean", "higher")]
+    (_, _, q_base, q_change, won, beyond, gain), ratio = rows
+    assert q_base == pytest.approx((10.45, 10.9, 11.35))
+    assert q_change == pytest.approx((9.45, 9.9, 10.35))
+    # Nine of ten won, the tie for neither; the medians lie 1.0 apart,
+    # beyond the base's interquartile distance of 0.9.
+    assert (won, beyond, gain) == (9, True, True)
+    assert ratio[2:] == ((0.5, 0.5, 0.5), (0.4, 0.5, 0.6), 5, False, False)
+
+
+def test_verdict_needs_nine_of_ten_and_a_gap_beyond_the_spread():
+    results = ten_pairs()
+    # Eight of ten won: no gain, however far apart the medians.
+    results[8]["change"] = line(12.0, 0.5)
+    assert pairs.verdict(results, BETTER)[0][4:] == (8, True, False)
+    # Ten of ten won by 0.1, inside the base's spread: no gain.
+    run, _ = stub({
+        "base": [line(10.0 + 0.2 * i, 0.5) for i in range(10)],
+        "change": [line(9.9 + 0.2 * i, 0.5) for i in range(10)],
+    })
+    assert pairs.verdict(pairs.run_pairs(run, 10), BETTER)[0][4:] == (10, False, False)
+    # Higher is better: the change wins only pair 8, where it read higher.
+    assert pairs.verdict(results, {"solve_rel": "higher"})[0][4:] == (1, True, False)
+    # A metric without a direction gets no verdict.
+    assert pairs.verdict(results, {}) == []
+
+
+def test_report_prints_the_verdict_per_metric_with_a_direction():
+    lines = pairs.report(ten_pairs(), {"solve_rel": "lower"})
+    assert lines[23].split()[:3] == ["metric", "better", "base"]
+    assert lines[24].split() == [
+        "solve_rel", "lower", "10.45,", "10.9,", "11.35", "9.45,", "9.9,", "10.35",
+        "9", "of", "10", "yes", "yes",
+    ]
+    assert len(lines) == 25
+    assert len(pairs.report(ten_pairs())) == 23
+
+
+def test_better_directions_read_the_checkout_benchmark(tmp_path):
+    assert pairs.better_directions(tmp_path) == {}
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "solve_rel", "unit": "probe", "better": "lower", "bound": 0.24}]}'
+    )
+    assert pairs.better_directions(tmp_path) == {"solve_rel": "lower"}

@@ -987,3 +987,35 @@ def test_orthant_bounds_memory_scales_with_the_faces_used():
         tracemalloc.stop()
     assert bounds.shape == (1140,)
     assert peak < 2**20
+
+
+def test_face_lattice_is_built_once_per_shape_and_read_only():
+    # The lattice depends on (k, q) only, so every block of that shape
+    # reads one build, which no caller can write to.  Each support's bound
+    # is the smallest infimum over its faces (the empty face's w/v
+    # included), each face computed alone here, and a subset of the
+    # supports reads the same bounds as all of them.
+    rng = np.random.default_rng(3)
+    k, q = 7, 3
+    qfp = dataclasses.replace(random_qfp(rng, k), lower_bound=0.0)
+    supports = np.array(list(combinations(range(k), q)))
+    subproblem._face_lattice.cache_clear()
+    bounds = _orthant_bounds(qfp, supports)
+    assert subproblem._face_lattice.cache_info().misses == 1
+    lattice = subproblem._face_lattice(k, q)
+    assert subproblem._face_lattice.cache_info().hits == 1
+    for array in (lattice[0], *(a for level in lattice[1] for a in level)):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    for bound, support in zip(bounds, supports):
+        faces = [qfp.w / qfp.v]
+        for size in range(1, q + 1):
+            for face in combinations(support, size):
+                S = np.array(face)
+                faces.append(face_infima(
+                    qfp.Q[np.ix_(S, S)][None], qfp.p[S][None], qfp.w,
+                    qfp.R[np.ix_(S, S)][None], qfp.c[S][None], qfp.v,
+                )[0])
+        assert bound == min(faces)
+    rows = [30, 2, 17]
+    assert _orthant_bounds(qfp, supports[rows]).tobytes() == bounds[rows].tobytes()

@@ -11,9 +11,14 @@ the base first where i is even and the change first where i is odd, so a
 drift of the machine's speed within a pair does not favour one side.  For
 every pair it prints both sides' end-to-end metrics (the metrics of the
 run's JSON line); then, per metric, each side's median over the pairs and
-in how many pairs the change read lower.  Whether lower is better depends
-on the metric (see BENCHMARK.json).  Exit status 1 if a run fails or
-reports a failed instance.
+in how many pairs the change read lower.  Then the verdict, per metric
+that the change checkout's BENCHMARK.json gives a ``better`` direction:
+each side's quartiles, the pairs the change won in that direction (ties
+count for neither), whether the gap between the medians exceeds the
+base's interquartile distance, and whether that is a gain: the change
+won at least nine pairs in ten and its median lies beyond the base's by
+more than that distance, in the better direction.  Exit status 1 if a
+run fails or reports a failed instance.
 """
 
 from __future__ import annotations
@@ -65,7 +70,44 @@ def summarize(results: list[dict]) -> list[tuple[str, float, float, int]]:
     return rows
 
 
-def report(results: list[dict]) -> list[str]:
+def better_directions(checkout: Path) -> dict[str, str]:
+    """metric -> "lower" or "higher", the end-to-end metrics' better
+    direction in checkout's BENCHMARK.json; empty without one."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {entry["name"]: entry["better"] for entry in json.loads(path.read_text())["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive of the extremes."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def verdict(results: list[dict], better: dict[str, str]) -> list[tuple]:
+    """Per metric of the first pair with a direction in better, in its
+    order: (name, direction, base quartiles, change quartiles, pairs the
+    change won, whether |median gap| exceeds the base's interquartile
+    distance, whether that is a gain)."""
+    rows = []
+    for name in metrics(results[0]["base"]):
+        if name not in better:
+            continue
+        base = [metrics(pair["base"])[name] for pair in results]
+        change = [metrics(pair["change"])[name] for pair in results]
+        sign = 1.0 if better[name] == "lower" else -1.0
+        won = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        q_base, q_change = quartiles(base), quartiles(change)
+        spread, gap = q_base[2] - q_base[0], sign * (q_base[1] - q_change[1])
+        gain = 10 * won >= 9 * len(results) and gap > spread
+        rows.append((name, better[name], q_base, q_change, won, abs(gap) > spread, gain))
+    return rows
+
+
+def report(results: list[dict], better: dict[str, str] | None = None) -> list[str]:
     lines = []
     for i, pair in enumerate(results):
         first = "base" if i % 2 == 0 else "change"
@@ -76,6 +118,18 @@ def report(results: list[dict]) -> list[str]:
     for name, base, change, lower in summarize(results):
         ratio = change / base if base else float("nan")
         lines.append(f"{name:<22} {base:>12.6g} {change:>12.6g} {ratio:>12.4f}  {lower} of {len(results)}")
+    rows = verdict(results, better or {})
+    if rows:
+        lines.append(
+            f"{'metric':<22} {'better':<6} {'base q1, median, q3':>32} "
+            f"{'change q1, median, q3':>32}  won      gap > IQR  gain"
+        )
+    for name, direction, q_base, q_change, won, beyond, gain in rows:
+        sides = " ".join(f"{', '.join(f'{q:.6g}' for q in side):>32}" for side in (q_base, q_change))
+        lines.append(
+            f"{name:<22} {direction:<6} {sides}  {f'{won} of {len(results)}':<8} "
+            f"{'yes' if beyond else 'no':<10} {'yes' if gain else 'no'}"
+        )
     return lines
 
 
@@ -102,7 +156,7 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError as error:
         print(f"error: a benchmark run failed:\n{error.stderr}", file=sys.stderr)
         return 1
-    for line in report(results):
+    for line in report(results, better_directions(checkouts["change"])):
         print(line)
     failed = sum(pair[side]["failed"] for pair in results for side in SIDES)
     if failed:

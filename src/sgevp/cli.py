@@ -253,13 +253,25 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _trace_x(path: Path, n: int, s: int) -> np.ndarray:
+    """final.x of a saved trace, checked to be n finite numbers, at most s nonzero."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            x = np.asarray(json.load(handle)["final"]["x"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise ParseError(f"{path}: no final.x of numbers ({exc})") from None
+    if x.shape != (n,):
+        raise DimensionMismatch(f"{path}: final.x has shape {x.shape}, expected ({n},)")
+    if not np.all(np.isfinite(x)) or np.count_nonzero(x) > s:
+        raise ParseError(f"{path}: final.x needs finite entries, at most s = {s} of them nonzero")
+    return x
+
+
 def cmd_certify(args) -> int:
     data = load_dataset(args)
-    with open(args.trace, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    x = np.asarray(payload["final"]["x"], dtype=float)
     problem = build_problem(args.app, data, args.s)
     n = problem.dim
+    x = _trace_x(args.trace, n, args.s)
     if not 1 <= args.k <= n:
         raise InvalidK(f"--k {args.k} outside [1, {n}]")
     ok = decomposition.certify_block2_stationary(problem, x, tol=args.tol)

@@ -8,9 +8,9 @@ trailing window.  Block-k / block-2 stationarity diagnostics live here too.
 No step costs an n x n product: a candidate's objective and its x'Cx come
 from one quadratic_forms call over its support, and that x'Cx serves the
 accept test, the denominator floor and the trace; polish and the
-certificate score swaps from problems.products, and polish reads its
-one-coordinate blocks and budget-1 swap pairs from them as lines, with
-no block assembled.
+certificate score swaps from problems.products, and polish solves its
+one-coordinate blocks and budget-1 swap pairs on lines read from them
+(subproblem.line_solution), with no block assembled.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
 from .fractional1d import solve_1d  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 from .fractional1d import solve_1d_core, solve_1d_values
 from .problems import ProblemInstance, objective, products, quadratic_forms
-from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, solve_exact
+from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, line_solution, solve_exact
 from .working_set import (
     select_hybrid,
     select_random,
@@ -83,6 +83,8 @@ class DecompositionConfig:
             raise ConfigError("epsilon must not be NaN")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.time_limit is not None and not self.time_limit >= 0.0:
             raise ConfigError("time_limit must be nonnegative")
         if self.window < 1:
@@ -375,9 +377,8 @@ def _lines(problem, it, i, j=None, theta=0.0):
     or of the swap pair {i, j}, at the iterate it, each as
     (m, offset, a, b, c, r, s, t, lower): the points with x_m =
     offset + beta, beta >= lower, on which the block objective with
-    proximal weight theta is the 1-D program
-    (a/2 beta^2 + b beta + c) / (r/2 beta^2 + s beta + t) of
-    solve_1d_core; theta = 0 gives f itself.
+    proximal weight theta is the 1-D program of solve_1d_core and
+    subproblem.line_solution; theta = 0 gives f itself.
 
     For {i}: the line x + beta e_i with x_i + beta >= lower_bound, whose
     coefficients are A_ii + theta, (Ax)_i, x'Ax/2, C_ii, (Cx)_i and
@@ -439,46 +440,28 @@ def _line_move(problem, it, i, j, theta, method="bisection", tally=None):
     (x_new, f_new, den_new), or None where the lines do not decide the
     block and _block_move must.
 
-    Each line is one support of the block, {i} or {j}, and is solved by
-    solve_1d_core under subproblem._one_coordinate's rules: None where the
-    denominator is not positive on the whole line, where the kernel
-    raises or its point overflows the denominator, and, on the bisection
-    route (method "bisection" without a lower bound), where the limit a/r
-    at infinity lies below the kernel's value (solve_bisection escapes
-    towards it).  On the coordinate-descent route x_m stays 0 (the
-    point x - x_i e_i) unless the kernel's point is nonzero and lowers the
-    value below that point's.  Of equal values the lower index wins, as in
-    combination order.  f_new and den_new = x_new'C x_new come from one
-    quadratic_forms call over supp(x_new); tally gains what solve_exact
-    would count, every support enumerated and solved.
+    Each line is one support of the block, {i} or {j}, solved by
+    subproblem.line_solution, whose x_m = 0 is x - x_i e_i; of equal values
+    the lower index wins.  f_new and den_new = x_new'C x_new come from one
+    quadratic_forms call; tally gains what solve_exact would count.
     """
     lines = _lines(problem, it, i, j, theta)
     if lines is None:
         return None
     bisection = method == "bisection" and problem.lower_bound is None
     lb = -inf if problem.lower_bound is None else problem.lower_bound
+    zero = None
     if not bisection:
         c0, t0 = _dropped(problem, it, i, theta)
         if not t0 > 0.0:
             return None
         zero = c0 / t0
     moves = []
-    for m, offset, a, b, c, r, s, t, lower in sorted(lines):
-        if not 2.0 * t * r > s * s:
+    for m, offset, *line in sorted(lines):
+        move = line_solution(*line, offset, lb, zero, bisection)
+        if move is None:
             return None
-        try:
-            beta, value = solve_1d_core(a, b, c, r, s, t, lower)
-        except (DegenerateDenominator, UnboundedBelow):
-            return None
-        if not 0.5 * r * beta * beta + s * beta + t < inf:
-            return None
-        z = max(offset + beta, lb)
-        if bisection:
-            if a / r < value:
-                return None
-        elif not (z != 0.0 and value < zero):
-            z, value = 0.0, zero
-        moves.append((m, z, value))
+        moves.append((m, *move))
     # The first of equal values wins; nan ranks last.
     m, z, _ = min(moves, key=lambda move: (isnan(move[2]), move[2]))
     x_new = it.x.copy()
@@ -560,6 +543,9 @@ def certify_block2_stationary(
     1e-9 (1 + |f|) instead, so on objectives of large magnitude a polished
     iterate can fail a small absolute tol.
     """
+    # Written as what is valid, so that a NaN tol, which passes every point, fails it.
+    if not 0.0 <= tol < inf:
+        raise ConfigError("tol must be finite and nonnegative")
     x = np.asarray(x, dtype=float)
     f_x = objective(problem, x)
     Ax, Cx = products(problem, x)

@@ -184,6 +184,8 @@ def build_cca(
 
 def gen_randn(m: int, d: int, seed: int) -> Dataset:
     """Standard Gaussian features with random sign labels (0 maps to +1)."""
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, d))
     y = np.sign(rng.standard_normal(m))

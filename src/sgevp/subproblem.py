@@ -8,12 +8,9 @@ a block costs O(k s + s^2), not O(n^2).  The solver enumerates supports of
 size min(q, k) (support monotonicity makes the smaller sizes redundant) and
 solves each restricted quadratic fractional program globally.  A
 one-coordinate support, a whole block or one of many, is the 1-D program,
-read from the block and solved in closed form wherever the route's solver
-would return the same value up to rounding (_one_coordinate).  Polish's
-one-coordinate blocks and budget-1 swap pairs reach this module only
-where their lines leave them undecided: decomposition._line_move reads
-the same 1-D programs from A@x and C@x, under _one_coordinate's rules,
-without assembling a block.
+solved in closed form by line_solution wherever the route's solver would
+return the same value up to rounding (_one_coordinate); polish's lines
+(decomposition._line_move) are solved by the same function.
 
 Each support of q >= 2 coordinates gets one lower bound on the value its
 solver returns, all before any support is solved; the supports are solved
@@ -157,8 +154,7 @@ def solve_exact(
     """Globally minimize the block QFP under ||z||_0 <= budget.
 
     Supports are solved by solve_bisection, or by solve_coordinate_descent
-    with a lower bound or method="coordinate-descent", in _ranked's order;
-    a one-coordinate block goes to _one_coordinate directly.
+    with a lower bound or method="coordinate-descent", in _ranked's order.
     Returns (z, value); entries off the winning support are exact zeros.
     Among supports of equal value the first in combination order wins.
     tally, a list [enumerated, keyed, solved], gains this block's supports
@@ -179,10 +175,6 @@ def solve_exact(
 
     bisection = method == "bisection" and qfp.lower_bound is None
     solve = solve_bisection if bisection else solve_coordinate_descent
-    if k == 1:
-        best = _one_coordinate(qfp, 0, solve)
-        _count(tally, 1, 0, 1)
-        return best.y, float(best.value)
     support, best, keyed, solved = _ranked(qfp, q, solve)
     _count(tally, math.comb(k, q), keyed, solved)
     z = np.zeros(k)
@@ -196,41 +188,48 @@ def _count(tally, *counts) -> None:
             tally[i] += count
 
 
-def _one_coordinate(qfp: QfpSubproblem, i, solve) -> QfpSolution:
-    """solve of the support {i} of a block, in closed form where it applies.
-
-    The support's QFP is the 1-D fractional program that solve_1d_core
-    minimizes, read from the block in place.  solve (solve_bisection or
-    solve_coordinate_descent), on the support copied out of the block,
-    decides where the denominator is not positive everywhere (v = 0 when
-    x_N = 0), where the kernel raises or its point overflows the
-    denominator, and, on the bisection route, where the limit Q/R at
-    infinity lies below the kernel's value: solve_bisection then escapes
-    towards infinity.  On the coordinate-descent route the result is
-    coordinate descent's first move from y = 0, taken only if it lowers the
-    value below w/v; the full solve can still move it by an ulp, so the two
-    agree to rounding, not bit for bit.  decomposition._line_move applies
-    these rules to polish's lines; a change here belongs there too.
+def line_solution(a, b, c, r, s, t, lower, offset, lb, zero, bisection):
+    """(z, value) of the 1-D program (a/2 beta^2 + b beta + c) /
+    (r/2 beta^2 + s beta + t), beta >= lower, on the line x_m = offset +
+    beta: the one-coordinate rules, stated here only.  solve_1d_core gives
+    (beta, value), and z = max(offset + beta, lb).  None, where the route's
+    solver must decide: the denominator is not positive on the whole line
+    (t = v = 0 where x_N = 0), the kernel raises or its point overflows the
+    denominator, or, on the bisection route, the limit a/r at infinity
+    lies below value (solve_bisection escapes towards it).  On coordinate
+    descent x_m stays 0, with value zero, unless z is nonzero and beats
+    it: coordinate descent's first move, which its full solve can still
+    shift by an ulp.
     """
-    Q, p, R, c, w, v = (
-        float(qfp.Q[i, i]), float(qfp.p[i]), float(qfp.R[i, i]), float(qfp.c[i]), qfp.w, qfp.v,
-    )
-    if not 2.0 * v * R > c * c:
-        return solve(_restrict(qfp, [i]))
-    lower = -math.inf if qfp.lower_bound is None else qfp.lower_bound
+    if not 2.0 * t * r > s * s:
+        return None
     try:
-        beta, value = solve_1d_core(Q, p, w, R, c, v, lower)
+        beta, value = solve_1d_core(a, b, c, r, s, t, lower)
     except (UnboundedBelow, DegenerateDenominator):
-        return solve(_restrict(qfp, [i]))
-    if not 0.5 * R * beta * beta + c * beta + v < math.inf:
-        return solve(_restrict(qfp, [i]))
+        return None
+    if not 0.5 * r * beta * beta + s * beta + t < math.inf:
+        return None
+    z = max(offset + beta, lb)
+    if bisection:
+        return None if a / r < value else (z, value)
+    return (z, value) if z != 0.0 and value < zero else (0.0, zero)
+
+
+def _one_coordinate(qfp: QfpSubproblem, i, solve) -> QfpSolution:
+    """solve (solve_bisection or solve_coordinate_descent) of the support
+    {i} of a block: line_solution on the 1-D program read from the block in
+    place, or, where it defers, solve on the support copied out."""
+    lower = -math.inf if qfp.lower_bound is None else qfp.lower_bound
     bisection = solve is solve_bisection
-    if bisection and Q / R < value:
+    line = line_solution(
+        float(qfp.Q[i, i]), float(qfp.p[i]), qfp.w, float(qfp.R[i, i]), float(qfp.c[i]), qfp.v,
+        lower, 0.0, lower, qfp.w / qfp.v if qfp.v else math.nan, bisection,
+    )
+    if line is None:
         return solve(_restrict(qfp, [i]))
-    if not bisection and not (beta != 0.0 and value < w / v):
-        beta, value = 0.0, w / v
+    z, value = line
     return QfpSolution(
-        y=np.array([beta]), value=value, alpha_star=value if bisection else None, iterations=0,
+        y=np.array([z]), value=value, alpha_star=value if bisection else None, iterations=0,
         certificate=Certificate.BISECTION_ROOT if bisection else Certificate.COORDINATE_WISE_MIN,
     )
 

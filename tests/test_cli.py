@@ -264,6 +264,67 @@ def test_certify_skips_a_measure_over_the_cap(tmp_path, capsys):
         "block-2 measure: skipped (C(12,2) exceeds cap 65)"
 
 
+MALFORMED_TRACES = {
+    "not-json": "final: x",
+    "no-final": json.dumps({"x": [1.0] * 12}),
+    "no-final-x": json.dumps({"final": {"f": -1.0}}),
+    "non-numeric": json.dumps({"final": {"x": ["a"] + [0.0] * 11}}),
+    "wrong-length": json.dumps({"final": {"x": [1.0] * 11}}),
+    "too-many-nonzeros": json.dumps({"final": {"x": [1.0] * 4 + [0.0] * 8}}),
+    "nan-entry": json.dumps({"final": {"x": [float("nan"), 1.0] + [0.0] * 10}}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_TRACES)
+def test_certify_refuses_a_malformed_trace_as_a_data_error(tmp_path, capsys, name):
+    # Each ended in a traceback and exit 1, a failed certificate's status,
+    # or (the NaN entry) exit 4; too many nonzeros printed "block-2: FAIL"
+    # first.  final.x must hold n = 12 finite numbers with at most s = 3
+    # nonzeros, checked before any output.
+    data = gen_dataset(tmp_path)
+    trace = tmp_path / "trace.json"
+    trace.write_text(MALFORMED_TRACES[name])
+    capsys.readouterr()
+    assert run(["certify", "--data", str(data), "--labeled", "--app", "pca",
+                "--s", "3", "--trace", str(trace), "--k", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {trace}: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+def test_certify_tolerance_outside_finite_nonnegative_is_a_configuration_error(
+    tmp_path, capsys, tol,
+):
+    # --tol nan printed "block-2: PASS" beside a failing measure and exited 0.
+    data = gen_dataset(tmp_path)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"final": {"x": [0.4, -1.2, 0.7] + [0.0] * 9}}))
+    capsys.readouterr()
+    assert run(["certify", "--data", str(data), "--labeled", "--app", "pca",
+                "--s", "3", "--trace", str(trace), "--k", "2", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--m", "2", "--d", "1", "--seed", "-3"],
+    ["solve", "--randn", "40x10", "--seed", "-1", "--app", "pca", "--solver", "dec-b", "--s", "3"],
+    ["solve", "--data", "DATA", "--labeled", "--seed", "-1", "--app", "pca", "--solver", "dec-c",
+     "--s", "3"],
+])
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys, argv):
+    # Each exited 1 with numpy's "expected non-negative integer".
+    data = gen_dataset(tmp_path)
+    argv = [str(data) if a == "DATA" else a for a in argv]
+    if argv[0] == "gen-data":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+
+
 @pytest.mark.parametrize("labeled", [True, False])
 def test_solve_cca_splits_the_rows_into_two_views(tmp_path, labeled):
     # Labeled rows split by sign of the label, view 1 the positive ones;

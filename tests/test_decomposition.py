@@ -114,15 +114,17 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("theta", np.nan), ("theta", np.inf), ("epsilon", np.nan),
-    ("time_limit", np.nan), ("time_limit", -1.0), ("max_iters", -3),
+    ("time_limit", np.nan), ("time_limit", -1.0), ("max_iters", -3), ("seed", -1),
 ])
 def test_config_rejects_a_nan_or_out_of_range_value(field, value):
     # A NaN passed every `< 0` test: a NaN theta failed deep inside a block
     # solve, and a NaN epsilon turned the stopping rule off.  max_iters = -3
-    # ran no step.  time_limit = 0 and max_iters = 0 (polish only) stay valid.
+    # ran no step.  seed = -1 failed in numpy's default_rng with a bare
+    # ValueError.  time_limit = 0, max_iters = 0 (polish only) and seed = 0
+    # stay valid.
     problem = ProblemInstance(A=np.eye(6), C=np.eye(6), s=2)
     base = dict(k=4, random_count=2, swap_count=2)
-    for valid in (dict(time_limit=0.0), dict(time_limit=np.inf), dict(max_iters=0)):
+    for valid in (dict(time_limit=0.0), dict(time_limit=np.inf), dict(max_iters=0), dict(seed=0)):
         DecompositionConfig(**base, **valid).validate(problem)
     with pytest.raises(ConfigError):
         DecompositionConfig(**base, **{field: value}).validate(problem)
@@ -230,6 +232,18 @@ def test_certify_singleton_support_at_its_optimum():
     # reported a descent of 1.2e-5 from the 0/0 rounding.
     problem = ProblemInstance(A=np.diag([2.0, -0.45, -0.8652130762749418]), C=np.eye(3), s=1)
     assert certify_block2_stationary(problem, np.array([0.0, 0.0, 0.99999818]), tol=1e-6)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+def test_certify_refuses_a_tolerance_outside_finite_nonnegative(tol):
+    # x fails the certificate at tol = 1e-6; a NaN or infinite tol passed it.
+    problem = dataclasses.replace(build_pca(gen_randn(40, 10, 1)), s=3)
+    x = np.zeros(10)
+    x[:3] = [1.0, 2.0, 3.0]
+    assert not certify_block2_stationary(problem, x, tol=1e-6)
+    assert certify_block2_stationary(problem, x, tol=1e6)
+    with pytest.raises(ConfigError):
+        certify_block2_stationary(problem, x, tol=tol)
 
 
 def test_certify_rejects_random_point():
@@ -881,7 +895,9 @@ def test_line_move_defers_where_its_lines_do_not_decide_the_block(monkeypatch):
     defers(problem, x, 0, 1)
 
     # A kernel that raises, and a kernel point that overflows the
-    # denominator, on a block the lines would otherwise decide.
+    # denominator, on a block the lines would otherwise decide.  Both paths
+    # read the kernel through subproblem.line_solution, so the block move
+    # defers to solve_bisection as well.
     it = decomposition._iterate(problem, x)
     assert decomposition._line_move(problem, it, 0, None, 1e-5) is not None
 
@@ -892,7 +908,7 @@ def test_line_move_defers_where_its_lines_do_not_decide_the_block(monkeypatch):
 
     for kernel in (raises(UnboundedBelow), raises(DegenerateDenominator), lambda *args: (1e300, 0.0)):
         with monkeypatch.context() as patch:
-            patch.setattr(decomposition, "solve_1d_core", kernel)
+            patch.setattr(subproblem, "solve_1d_core", kernel)
             defers(problem, x, 0)
             defers(problem, x, 0, 3)
 

@@ -127,3 +127,64 @@ def test_better_directions_read_the_checkout_benchmark(tmp_path):
         '{"end_to_end": [{"name": "solve_rel", "unit": "probe", "better": "lower", "bound": 0.24}]}'
     )
     assert pairs.better_directions(tmp_path) == {"solve_rel": "lower"}
+
+
+BOUND = {"solve_rel": 0.1, "objective_ratio_mean": 0.2}
+
+
+def paired(base, change, ratio_base=0.5, ratio_change=0.5):
+    """Pairs of the given solve_rel values, objective_ratio_mean fixed."""
+    run, _ = stub({
+        "base": [line(b, ratio_base) for b in base],
+        "change": [line(c, ratio_change) for c in change],
+    })
+    return pairs.run_pairs(run, len(base))
+
+
+def test_regression_reads_worse_beyond_the_bound_of_the_base_median():
+    # Base median 10.0, bound 0.1: up to 11.0 is allowed.
+    rows = pairs.regression(paired([9.9, 10.0, 10.1], [11.1, 11.2, 11.3]), BETTER, BOUND)
+    name, bound, allowed, spread, worse_by, state = rows[0]
+    assert (name, bound, state) == ("solve_rel", 0.1, "worse")
+    assert allowed == pytest.approx(1.0) and spread == pytest.approx(0.1)
+    assert worse_by == pytest.approx(1.2)
+    assert pairs.regression(paired([9.9, 10.0, 10.1], [10.8, 10.9, 11.0]), BETTER, BOUND)[0][5] == "ok"
+    # Higher is better: objective_ratio_mean 0.5 -> 0.35 is worse by more
+    # than 0.2 x 0.5, 0.5 -> 0.45 is not, and 0.5 -> 0.9 is better.
+    for ratio, state in [(0.35, "worse"), (0.45, "ok"), (0.9, "ok")]:
+        rows = pairs.regression(paired([10.0] * 3, [10.0] * 3, 0.5, ratio), BETTER, BOUND)
+        assert rows[1][0] == "objective_ratio_mean" and rows[1][5] == state
+
+
+def test_regression_is_unresolved_where_the_base_spreads_wider_than_the_bound():
+    # Base quartiles 8.5 and 11.5 around a median of 10: an interquartile
+    # distance of 3 exceeds the allowed 1.0, however close the change reads.
+    base = [7.0, 10.0, 13.0]
+    assert pairs.regression(paired(base, [7.0, 10.0, 13.0]), BETTER, BOUND)[0][5] == "unresolved"
+    # Unless every change run reads better than every base run.
+    assert pairs.regression(paired(base, [6.0, 6.5, 6.9]), BETTER, BOUND)[0][5] == "ok"
+    # Worse by more than the bound stays worse, spread or not.
+    assert pairs.regression(paired(base, [12.0, 12.0, 12.0]), BETTER, BOUND)[0][5] == "worse"
+
+
+def test_regression_needs_a_direction_and_a_bound():
+    results = paired([10.0] * 3, [10.0] * 3)
+    assert [row[0] for row in pairs.regression(results, BETTER, {"solve_rel": 0.1})] == ["solve_rel"]
+    assert pairs.regression(results, {"objective_ratio_mean": "higher"}, {"solve_rel": 0.1}) == []
+
+
+def test_report_prints_the_no_regression_verdict():
+    lines = pairs.report(paired([9.9, 10.0, 10.1], [11.1, 11.2, 11.3]), BETTER, BOUND)
+    assert lines[-3].split() == ["metric", "bound", "allowed", "base", "IQR", "worse", "by", "no-regression"]
+    assert lines[-2].split() == ["solve_rel", "0.1", "1", "0.1", "1.2", "worse"]
+    assert lines[-1].split() == ["objective_ratio_mean", "0.2", "0.1", "0", "0", "ok"]
+
+
+def test_bounds_read_the_checkout_benchmark(tmp_path):
+    assert pairs.end_to_end(tmp_path, "bound") == {}
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "solve_rel", "better": "lower", "bound": 0.24},'
+        ' {"name": "probe_s", "better": "lower"}]}'
+    )
+    assert pairs.end_to_end(tmp_path, "bound") == {"solve_rel": 0.24}
+    assert pairs.better_directions(tmp_path) == {"solve_rel": "lower", "probe_s": "lower"}

@@ -163,6 +163,13 @@ def test_gen_randn_determinism_and_moments():
     assert abs(pos - 250) < 5 * np.sqrt(500 * 0.25)
 
 
+def test_gen_randn_rejects_a_negative_seed():
+    # numpy's default_rng raised a bare ValueError here.
+    with pytest.raises(ConfigError):
+        gen_randn(4, 2, -1)
+    assert gen_randn(4, 2, 0).X.shape == (4, 2)
+
+
 def test_load_libsvm_happy(tmp_path):
     p = tmp_path / "data.libsvm"
     p.write_text("+1 1:0.5 3:2.0\n-1 2:-1.5\n# comment\n\n+1 1:1.0\n")

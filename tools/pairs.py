@@ -17,8 +17,13 @@ each side's quartiles, the pairs the change won in that direction (ties
 count for neither), whether the gap between the medians exceeds the
 base's interquartile distance, and whether that is a gain: the change
 won at least nine pairs in ten and its median lies beyond the base's by
-more than that distance, in the better direction.  Exit status 1 if a
-run fails or reports a failed instance.
+more than that distance, in the better direction.  Last, the
+no-regression verdict, per metric that BENCHMARK.json also gives a
+``bound``: ``worse`` where the change's median is worse than the base's by
+more than bound x |base median|; ``unresolved`` where the base's
+interquartile distance exceeds that amount, unless every change run reads
+better than every base run; ``ok`` otherwise.  Exit status 1 if a run
+fails or reports a failed instance.
 """
 
 from __future__ import annotations
@@ -70,13 +75,20 @@ def summarize(results: list[dict]) -> list[tuple[str, float, float, int]]:
     return rows
 
 
-def better_directions(checkout: Path) -> dict[str, str]:
-    """metric -> "lower" or "higher", the end-to-end metrics' better
-    direction in checkout's BENCHMARK.json; empty without one."""
+def end_to_end(checkout: Path, key: str) -> dict:
+    """metric -> its entry's key, for the end-to-end metrics of checkout's
+    BENCHMARK.json that have one; empty without the file."""
     path = checkout / "BENCHMARK.json"
     if not path.is_file():
         return {}
-    return {entry["name"]: entry["better"] for entry in json.loads(path.read_text())["end_to_end"]}
+    entries = json.loads(path.read_text())["end_to_end"]
+    return {entry["name"]: entry[key] for entry in entries if key in entry}
+
+
+def better_directions(checkout: Path) -> dict[str, str]:
+    """metric -> "lower" or "higher", the end-to-end metrics' better
+    direction in checkout's BENCHMARK.json; empty without one."""
+    return end_to_end(checkout, "better")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -107,7 +119,35 @@ def verdict(results: list[dict], better: dict[str, str]) -> list[tuple]:
     return rows
 
 
-def report(results: list[dict], better: dict[str, str] | None = None) -> list[str]:
+def regression(results: list[dict], better: dict[str, str], bound: dict[str, float]) -> list[tuple]:
+    """Per metric of the first pair with a direction in better and a bound
+    in bound, in its order: (name, bound, allowed = bound x |base median|,
+    the base's interquartile distance, how far the change's median lies on
+    the worse side of the base's, and "worse", "unresolved" or "ok")."""
+    rows = []
+    for name in metrics(results[0]["base"]):
+        if name not in better or name not in bound:
+            continue
+        # In sign-flipped units lower is better.
+        sign = 1.0 if better[name] == "lower" else -1.0
+        base = [sign * metrics(pair["base"])[name] for pair in results]
+        change = [sign * metrics(pair["change"])[name] for pair in results]
+        q_base, q_change = quartiles(base), quartiles(change)
+        allowed, spread = bound[name] * abs(q_base[1]), q_base[2] - q_base[0]
+        worse_by = q_change[1] - q_base[1]
+        if worse_by > allowed:
+            state = "worse"
+        elif spread > allowed and not max(change) < min(base):
+            state = "unresolved"
+        else:
+            state = "ok"
+        rows.append((name, bound[name], allowed, spread, worse_by, state))
+    return rows
+
+
+def report(
+    results: list[dict], better: dict[str, str] | None = None, bound: dict[str, float] | None = None,
+) -> list[str]:
     lines = []
     for i, pair in enumerate(results):
         first = "base" if i % 2 == 0 else "change"
@@ -130,6 +170,13 @@ def report(results: list[dict], better: dict[str, str] | None = None) -> list[st
             f"{name:<22} {direction:<6} {sides}  {f'{won} of {len(results)}':<8} "
             f"{'yes' if beyond else 'no':<10} {'yes' if gain else 'no'}"
         )
+    rows = regression(results, better or {}, bound or {})
+    if rows:
+        lines.append(
+            f"{'metric':<22} {'bound':>6} {'allowed':>12} {'base IQR':>12} {'worse by':>12}  no-regression"
+        )
+    for name, limit, allowed, spread, worse_by, state in rows:
+        lines.append(f"{name:<22} {limit:>6.4g} {allowed:>12.6g} {spread:>12.6g} {worse_by:>12.6g}  {state}")
     return lines
 
 
@@ -156,7 +203,8 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError as error:
         print(f"error: a benchmark run failed:\n{error.stderr}", file=sys.stderr)
         return 1
-    for line in report(results, better_directions(checkouts["change"])):
+    bound = end_to_end(checkouts["change"], "bound")
+    for line in report(results, better_directions(checkouts["change"]), bound):
         print(line)
     failed = sum(pair[side]["failed"] for pair in results for side in SIDES)
     if failed:

@@ -1,5 +1,6 @@
 """tools/fingerprint.py: one line per benchmark instance, and a digest that
-moves with any bit of the final x, the trace arrays or the working sets."""
+moves with any bit of the final x, the trace arrays, the working sets or
+the run's counters."""
 
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgevp.decomposition import SolveTrace
+from sgevp.decomposition import PolishSummary, SolveTrace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import fingerprint  # noqa: E402
@@ -20,6 +21,9 @@ def small_trace():
     trace.denominators[:] = [0.5]
     trace.step_norms[:] = [0.1]
     trace.working_sets[:] = [np.array([0, 2])]
+    trace.polish = PolishSummary(start=1, rounds=2, screened=[1, 0], solved=[2, 1], accepted=[1, 1])
+    trace.supports = [4, 3, 2]
+    trace.rejected = [0, 1]
     return trace
 
 
@@ -36,6 +40,16 @@ CHANGES = [
     lambda t: t.working_sets.__setitem__(0, np.array([0, 1])),
     # The same entries, split differently between two working sets.
     lambda t: t.working_sets.__setitem__(slice(None), [np.array([0]), np.array([2])]),
+    lambda t: setattr(t.polish, "start", 0),
+    lambda t: setattr(t.polish, "rounds", 3),
+    lambda t: setattr(t.polish, "capped", True),
+    lambda t: t.polish.screened.__setitem__(1, 1),
+    lambda t: t.polish.solved.__setitem__(0, 3),
+    lambda t: t.polish.accepted.__setitem__(0, 2),
+    lambda t: t.supports.__setitem__(1, 2),
+    lambda t: t.rejected.__setitem__(0, 1),
+    # A baseline's trace: no counters at all.
+    lambda t: [setattr(t, name, None) for name in ("polish", "supports", "rejected")],
 ]
 
 

@@ -15,11 +15,12 @@ pinned to one thread.  One line per instance:
 
 The SHA-1 covers the bytes of the final x, of the trace arrays
 (objectives, rel_decreases, denominators, step_norms) and of every working
-set.  <steps> is the trace length (trace.iterations), <support> the
+set, and the run's counters: every field of trace.polish, trace.supports
+and trace.rejected (None for the baselines).  <steps> is the trace length (trace.iterations), <support> the
 comma-separated indices of the final x's nonzeros and <objective> the repr
 of the final objective.  The certificate is True, False or the name of the
 error it raised.  Two checkouts that print the same lines gave
-bit-identical results.  ``--compare FILE`` diffs the run against a saved
+bit-identical results and reported the same counters.  ``--compare FILE`` diffs the run against a saved
 output instead of printing it: per workload, the number of instances whose
 line differs (or is missing on one side), how many of those kept their
 steps, support, stop reason and certificate and the largest relative
@@ -29,11 +30,17 @@ compared, so a run of fewer seeds checks a prefix of a longer file.
 Where the digests differ only because sums round differently, equal
 supports, steps, stop reasons and certificates with nearby objectives say
 that the runs took the same path.
+
+Output saved by an older version of this file hashed less, so it no longer
+compares.  To compare against an older commit, copy this file into a
+checkout of that commit and run it there: it reads the src and perfbench
+of the checkout it lies in.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -42,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CERT_TOL = 1e-6
 TRACE_ARRAYS = ("objectives", "rel_decreases", "denominators", "step_norms")
+COUNTERS = ("polish", "supports", "rejected")
 
 
 def digest(trace) -> str:
@@ -57,6 +65,11 @@ def digest(trace) -> str:
         ws = np.asarray(ws, dtype=np.int64)
         h.update(f"{ws.size};".encode())
         h.update(ws.tobytes())
+    for name in COUNTERS:
+        value = getattr(trace, name)
+        if dataclasses.is_dataclass(value):
+            value = dataclasses.astuple(value)
+        h.update(f"{name}:{value!r};".encode())
     return h.hexdigest()
 
 

@@ -9,10 +9,16 @@ pi/2 b^2 + theta b + iota = 0 with
     iota  = t*b_lin - c*s
 
 and the global minimizer over [lower, inf) is the better of the two
-(clamped) roots.  This is the only module that forms that quadratic:
-solve_1d_core is the scalar kernel (coordinate descent and one-coordinate
-supports) and solve_1d_values its batched twin (swap scoring and the
-block-2 certificate).
+(clamped) roots, the first root on an exact tie.  This is the only module
+that forms that quadratic: solve_1d_core is the scalar kernel (coordinate
+descent, one-coordinate supports and polish's lines) and solve_1d_values
+the same rule batched (swap scoring and the block-2 certificate).  Per
+element, solve_1d_values returns
+- solve_1d_core's value wherever solve_1d_core returns;
+- the a/r limit at infinity, or +inf for r <= 0, where it raises
+  UnboundedBelow;
+- the better clamped root with a positive denominator where it raises
+  DegenerateDenominator.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, UnboundedBelow
-
-_TIE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,9 @@ def solve_1d_core(
 ) -> tuple[float, float]:
     """The 1-D minimizer behind solve_1d, for inner loops.
 
-    Returns (beta, value): the better of the clamped stationary points,
-    ties to the smaller beta.  Two values tie within _TIE_TOL times the
-    larger magnitude, capped at 1 (absolute for values of magnitude 1 and
-    above).  No dataclasses, no validation.  Raises
-    UnboundedBelow on a negative discriminant.
+    Returns (beta, value): the better of the clamped stationary points.  No
+    dataclasses, no validation.  Raises UnboundedBelow on a negative
+    discriminant.
     """
     pi = a * s - b * r
     theta = a * t - c * r
@@ -110,14 +112,8 @@ def solve_1d_core(
         if den <= 0:
             raise DegenerateDenominator(f"denominator {den:.6g} at beta={beta:.6g}")
         value = num / den
-        if value < best_value - _TIE_TOL:
+        if value < best_value:
             best_beta, best_value = beta, value
-        elif abs(value - best_value) <= _TIE_TOL:
-            # The tie tolerance is relative below magnitude 1, so that two
-            # distinct tiny values never tie.
-            tol = _TIE_TOL * min(1.0, max(abs(value), abs(best_value)))
-            if value < best_value - tol or (abs(value - best_value) <= tol and beta < best_beta):
-                best_beta, best_value = beta, value
     return best_beta, best_value
 
 
@@ -126,12 +122,8 @@ def solve_1d_values(a, b, c, r, s, t, lower=None) -> np.ndarray:
     broadcast against each other, one minimum per element.
 
     Each root is clamped to ``lower`` before evaluation, as in
-    solve_1d_core; lower=None skips the clamp.  Where the scalar kernel
-    raises, a root whose denominator is not positive is ignored, and a
-    negative discriminant gives the a/r limit at infinity (+inf for
-    r <= 0).  Where both roots' values tie in solve_1d_core's sense (within
-    _TIE_TOL times the larger magnitude, capped at 1), solve_1d_core keeps
-    the smaller beta's and this kernel the smaller value.
+    solve_1d_core; lower=None skips the clamp.  A root whose denominator is
+    not positive is ignored.
 
     The kernel is elementwise: every element gets the arithmetic it would
     get alone.  Branches that no element takes are skipped for the whole

@@ -6,13 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgevp.errors import DegenerateDenominator, UnboundedBelow
-from sgevp.fractional1d import (
-    _TIE_TOL,
-    OneDimCoefficients,
-    solve_1d,
-    solve_1d_core,
-    solve_1d_values,
-)
+from sgevp.fractional1d import OneDimCoefficients, solve_1d, solve_1d_core, solve_1d_values
 
 
 def psi(c, beta):
@@ -198,12 +192,15 @@ def test_candidate_uniqueness():
     assert checked > 100
 
 
-def test_tie_returns_smaller_beta():
-    # perfect symmetry: psi(beta) = psi(-beta), two tied minima
-    c = OneDimCoefficients(a=-1.0, b=0.0, c=1.0, r=1.0, s=0.0, t=1.0)
-    sol = solve_1d(c)
-    cands = stationary_points(c)
-    assert sol.beta == pytest.approx(min(max(b, c.lower) for b in cands))
+# psi is flat to 2e-16 between its two stationary points, -sqrt(2) (the
+# first root) and +sqrt(2), which the closed form evaluates 2^-52 apart.
+NEAR_TIE = (1.0, 0.15257325287711287, 1.0, 1.0, 0.15257325287711318, 1.0)
+
+
+def test_near_tie_returns_the_smaller_value():
+    beta, value = solve_1d_core(*NEAR_TIE)
+    assert beta == pytest.approx(math.sqrt(2.0)) and value == 0.9999999999999998
+    assert solve_1d_values(*(np.array([v]) for v in NEAR_TIE)).tolist() == [value]
 
 
 @pytest.mark.parametrize("scale", [1e-74, 1e-20, 1e-8, 1.0, 1e8])
@@ -258,15 +255,15 @@ def test_huge_stationary_root_is_not_dropped():
 
 
 def batched_oracle(a, b, c, r, s, t, lower):
-    """(value, exact) that solve_1d_values must return for one element:
-    solve_1d_core's value where it returns, exact; the a/r limit (+inf for
-    r <= 0) where it raises UnboundedBelow, exact; and where it raises
-    DegenerateDenominator, the better of the other clamped closed-form roots
-    with a positive denominator, to rounding."""
+    """The value solve_1d_values must return for one element: solve_1d_core's
+    value where it returns; the a/r limit (+inf for r <= 0) where it raises
+    UnboundedBelow; and where it raises DegenerateDenominator, the better of
+    the clamped closed-form roots with a positive denominator, evaluated as
+    solve_1d_core evaluates them."""
     try:
-        return solve_1d_core(a, b, c, r, s, t, lower)[1], True
+        return solve_1d_core(a, b, c, r, s, t, lower)[1]
     except UnboundedBelow:
-        return (a / r if r > 0 else math.inf), True
+        return a / r if r > 0 else math.inf
     except DegenerateDenominator:
         pass
     # The closed form, not numpy.roots: it may lose a small root to
@@ -277,15 +274,16 @@ def batched_oracle(a, b, c, r, s, t, lower):
     else:
         sq = math.sqrt(theta * theta - 2.0 * pi * iota)
         roots = [(-theta - sq) / pi, (-theta + sq) / pi]
-    coeffs = OneDimCoefficients(a=a, b=b, c=c, r=r, s=s, t=t)
-    values = []
-    for beta in (max(z, lower) for z in roots):
-        den, num = coeffs.denominator(beta), coeffs.numerator(beta)
+    values = [math.inf]
+    for beta in (lower if z < lower else z for z in roots):
+        den = 0.5 * r * beta * beta + s * beta + t
+        num = 0.5 * a * beta * beta + b * beta + c
         if not (math.isfinite(den) and math.isfinite(num)):
-            den, num = 0.5 * r, 0.5 * a  # beta^2 overflows: psi is a/r to rounding
+            den = 0.5 * r + s / beta + t / (beta * beta)
+            num = 0.5 * a + b / beta + c / (beta * beta)
         if den > 0:
             values.append(num / den)
-    return min(values, default=math.inf), False
+    return min(values)
 
 
 coefficient = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
@@ -298,23 +296,16 @@ rows_1d = st.tuples(coefficient, coefficient, coefficient, square, coefficient, 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(rows_1d, min_size=1, max_size=6))
-@example([(0.0, -3.790833706083548e-74, 0.0, 1.0, 0.0, 1.0, -math.inf)])  # no tie at 1e-74
+@example([(0.0, -3.790833706083548e-74, 0.0, 1.0, 0.0, 1.0, -math.inf)])  # values at 1e-74
+@example([(*NEAR_TIE, -math.inf)])
 def test_batched_kernel_matches_the_scalar_kernel_with_a_lower_bound(rows):
     columns = [np.array(column) for column in zip(*rows)]
     values = solve_1d_values(*columns)
     assert values.shape == (len(rows),)
     for row, value in zip(rows, values):
-        expected, exact = batched_oracle(*row)
-        if not exact:
-            assert value == pytest.approx(expected, rel=1e-9, abs=1e-9)
-        elif value != expected:
-            # Two roots whose values tie (within _TIE_TOL times the larger
-            # magnitude, capped at 1): solve_1d_core keeps the smaller beta's
-            # value, the batched kernel the smaller value.
-            tol = _TIE_TOL * min(1.0, max(abs(value), abs(expected)))
-            assert expected - tol <= value < expected
-        else:
-            assert value.tobytes() == np.float64(expected).tobytes()
+        # == and not the bytes: the kernels may round a zero to opposite signs.
+        expected = batched_oracle(*row)
+        assert value == expected or (math.isnan(value) and math.isnan(expected))
     # lower = None skips the clamp, which lower = -inf leaves a no-op.
     free = solve_1d_values(*columns[:6])
     assert free.tobytes() == solve_1d_values(*columns[:6], np.full(len(rows), -math.inf)).tobytes()

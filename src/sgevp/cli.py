@@ -272,8 +272,9 @@ def cmd_certify(args) -> int:
     problem = build_problem(args.app, data, args.s)
     n = problem.dim
     x = _trace_x(args.trace, n, args.s)
-    if not 1 <= args.k <= n:
-        raise InvalidK(f"--k {args.k} outside [1, {n}]")
+    k_max = min(n, decomposition.MAX_BLOCK_SIZE)
+    if not 1 <= args.k <= k_max:
+        raise InvalidK(f"--k {args.k} outside [1, {k_max}]")
     ok = decomposition.certify_block2_stationary(problem, x, tol=args.tol)
     print(f"block-2: {'PASS' if ok else 'FAIL'}")
     if comb(n, args.k) <= args.measure_cap:

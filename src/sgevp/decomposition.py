@@ -476,10 +476,12 @@ def _line_move(problem, it, i, j, theta, method="bisection", tally=None):
 
 def _blocks(n: int, k: int):
     """Every block of k of the n coordinates, as an index array, in
-    combination order; InvalidK unless 1 <= k <= n, and TooLarge beyond
-    MEASURE_GUARD blocks, both raised before the first block."""
-    if not 1 <= k <= n:
-        raise InvalidK(f"k={k} outside [1, {n}]")
+    combination order; InvalidK unless 1 <= k <= min(n, MAX_BLOCK_SIZE),
+    and TooLarge beyond MEASURE_GUARD blocks, both raised before the first
+    block."""
+    k_max = min(n, MAX_BLOCK_SIZE)
+    if not 1 <= k <= k_max:
+        raise InvalidK(f"k={k} outside [1, {k_max}]")
     total = comb(n, k)
     if total > MEASURE_GUARD:
         raise TooLarge(f"C({n},{k}) = {total} exceeds {MEASURE_GUARD}")

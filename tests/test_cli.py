@@ -235,6 +235,17 @@ def test_certify_k_out_of_range_is_a_configuration_error(tmp_path, capsys):
         assert captured.err.startswith(f"error: --k {k} outside [1, 10]")
 
 
+def test_certify_k_above_the_block_cap_is_a_configuration_error(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    problem = ["--randn", "60x21", "--app", "pca", "--s", "3"]
+    assert run(["solve", *problem, "--solver", "dec-b", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert run(["certify", *problem, "--trace", str(trace), "--k", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --k 21 outside [1, 20]")
+
+
 def test_certify_block_k_measure_is_informational(tmp_path, capsys):
     # The block-2 certificate passes and the block-5 measure fails: the
     # measure is printed, and the exit status is the certificate's.

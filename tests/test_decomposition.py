@@ -345,6 +345,14 @@ def test_block_k_measure_too_large():
             refine_block_k(problem, np.eye(50)[0], k=k)
 
 
+def test_block_k_measure_refuses_k_above_the_block_cap():
+    # n = 21 makes k = 21 a single block, so only the cap refuses it.
+    problem = random_problem(np.random.default_rng(81), 21, 3)
+    for run in (block_k_measure, refine_block_k):
+        with pytest.raises(InvalidK, match=r"k=21 outside \[1, 20\]"):
+            run(problem, np.eye(21)[0], k=21)
+
+
 def test_refine_block_k_never_increases():
     rng = np.random.default_rng(81)
     for _ in range(5):

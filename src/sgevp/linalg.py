@@ -39,6 +39,15 @@ def pd_tol(m: np.ndarray) -> float:
     return 1e-10 * max(1.0, float(np.linalg.norm(m, "fro")))
 
 
+def require_positive_definite(m: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless m is exactly I or its smallest
+    eigenvalue lies above the pd_tol floor."""
+    if not np.array_equal(m, np.eye(len(m))):
+        lam_min = min_eigenvalue(m)
+        if lam_min <= pd_tol(m):
+            raise NotPositiveDefinite(lam_min)
+
+
 def shift_guard(d_min: float) -> float:
     return 1e-12 * max(1.0, abs(d_min))
 

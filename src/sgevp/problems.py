@@ -54,8 +54,7 @@ class ProblemInstance:
         n = self.A.shape[0]
         if not 1 <= self.s <= n:
             raise ConfigError(f"sparsity budget {self.s} outside [1, {n}]")
-        if linalg.min_eigenvalue(self.C) <= linalg.pd_tol(self.C):
-            raise linalg.NotPositiveDefinite(linalg.min_eigenvalue(self.C))
+        linalg.require_positive_definite(self.C)
         if self.lower_bound is not None and not (
             math.isfinite(self.lower_bound) and self.lower_bound <= 0.0
         ):

@@ -215,9 +215,8 @@ def pencil_direction(q: QfpSubproblem) -> np.ndarray | None:
     block = np.concatenate([q.Q.ravel(), q.p, q.R.ravel(), q.c, [q.w, q.v]])
     if not np.all(np.abs(block) < 1e100):
         return None
-    if not np.array_equal(q.R, np.eye(m)) and not linalg.min_eigenvalue(q.R) > linalg.pd_tol(q.R):
-        return None
     try:
+        linalg.require_positive_definite(q.R)
         L_inv, O, g, gamma, delta = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
         if gamma[0] > 2.0 * GAMMA_FLOOR * (1.0 + abs(2.0 * q.v)):
             V = np.linalg.eigh(_bordered_z(O, g, gamma, delta))[1][0]
@@ -228,7 +227,7 @@ def pencil_direction(q: QfpSubproblem) -> np.ndarray | None:
             u = np.linalg.eigh(_secular_matrix(O, g, delta))[1][0][:, 0]
         else:
             return None
-    except np.linalg.LinAlgError:
+    except (linalg.NotPositiveDefinite, np.linalg.LinAlgError):
         return None
     return L_inv[0].T @ u
 
@@ -362,10 +361,7 @@ def assemble_reduced(q: QfpSubproblem) -> ReducedForm:
     the eigenvalue check (lambda_min = 1), and _whiten skips its
     factorization too.
     """
-    if not np.array_equal(q.R, np.eye(q.dim)):
-        lam_min = linalg.min_eigenvalue(q.R)
-        if lam_min <= linalg.pd_tol(q.R):
-            raise linalg.NotPositiveDefinite(lam_min)
+    linalg.require_positive_definite(q.R)
     L_inv, O, g, gamma, delta = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
     slack = _GAMMA_SLACK * (1.0 + abs(2.0 * q.v))
     if gamma[0] < -slack:
@@ -519,7 +515,9 @@ def _cd_start(q: QfpSubproblem) -> np.ndarray:
     # Denominator vanishes at the natural start (gamma == 0 case); fall back
     # to the bottom generalized eigenvector of (Q, R), clamped to the bound:
     # y = L^{-T} e with e the bottom eigenvector of O = L^{-1} Q L^{-T}, so
-    # that y'Ry = |e|^2 = 1.
+    # that y'Ry = |e|^2 = 1.  R must be positive definite, as in
+    # assemble_reduced.
+    linalg.require_positive_definite(q.R)
     L_inv, O, _, _, _ = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
     y0 = L_inv[0].T @ np.linalg.eigh(O[0])[1][:, 0]
     if lb is not None:

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgevp import linalg
-from sgevp.errors import DegenerateDenominator, NonPositiveGamma, SgevpError, UnboundedBelow
+from sgevp.errors import (
+    DegenerateDenominator,
+    NonPositiveGamma,
+    NotPositiveDefinite,
+    SgevpError,
+    UnboundedBelow,
+)
 from sgevp.fractional1d import OneDimCoefficients, solve_1d, solve_1d_core
 from sgevp.qfp import (
     _SHRUNK,
@@ -27,6 +33,7 @@ from sgevp.qfp import (
     solve_bisection,
     solve_coordinate_descent,
 )
+from sgevp.subproblem import BlockSubproblem, solve_exact
 
 from _util import random_qfp, random_spd, random_sym
 
@@ -772,3 +779,14 @@ def test_pencil_direction_declines_where_a_key_could_be_missing(change):
     else:
         q.p[2] = np.nan
     assert pencil_direction(q) is None
+
+
+def test_coordinate_descent_start_refuses_an_indefinite_R():
+    # The denominator vanishes at y = 0, so the start needs R's factor, and
+    # R = -1 has none: NotPositiveDefinite, as solve_bisection raises.
+    q = QfpSubproblem(Q=np.array([[1.0]]), p=np.array([0.3]), w=1.0,
+                      R=np.array([[-1.0]]), c=np.array([0.0]), v=-1.0)
+    for solve in (solve_bisection, solve_coordinate_descent,
+                  lambda q: solve_exact(BlockSubproblem(q, 1), "coordinate-descent")):
+        with pytest.raises(NotPositiveDefinite):
+            solve(q)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -19,8 +20,12 @@ class BaselineConfig:
     tol: float = 1e-8
 
     def validate(self) -> None:
-        if self.step_size is not None and self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
+        # Written as what is valid, so that a NaN, which fails every
+        # comparison, is rejected.
+        if self.step_size is not None and not 0.0 < self.step_size < math.inf:
+            raise ConfigError("step_size must be finite and positive")
+        if math.isnan(self.tol):
+            raise ConfigError("tol must not be NaN")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
 

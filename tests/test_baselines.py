@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -39,6 +41,14 @@ def test_config_validation():
         BaselineConfig(step_size=-1.0).validate()
     with pytest.raises(ConfigError):
         BaselineConfig(max_iters=0).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step_size", math.nan), ("step_size", math.inf), ("tol", math.nan),
+])
+def test_config_validation_refuses_a_non_finite_step_size_or_a_nan_tol(field, value):
+    with pytest.raises(ConfigError, match=field):
+        BaselineConfig(**{field: value}).validate()
 
 
 def test_tpm_requires_identity_c():

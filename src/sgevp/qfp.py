@@ -515,8 +515,7 @@ def _cd_start(q: QfpSubproblem) -> np.ndarray:
     # Denominator vanishes at the natural start (gamma == 0 case); fall back
     # to the bottom generalized eigenvector of (Q, R), clamped to the bound:
     # y = L^{-T} e with e the bottom eigenvector of O = L^{-1} Q L^{-T}, so
-    # that y'Ry = |e|^2 = 1.  R must be positive definite, as in
-    # assemble_reduced.
+    # that y'Ry = |e|^2 = 1, which needs R positive definite.
     linalg.require_positive_definite(q.R)
     L_inv, O, _, _, _ = _whiten(q.Q[None], q.p[None], q.w, q.R[None], q.c[None], q.v)
     y0 = L_inv[0].T @ np.linalg.eigh(O[0])[1][:, 0]

@@ -16,17 +16,19 @@ pinned to one thread.  One line per instance:
 The SHA-1 covers the bytes of the final x, of the trace arrays
 (objectives, rel_decreases, denominators, step_norms) and of every working
 set, and the run's counters: every field of trace.polish, trace.supports
-and trace.rejected (None for the baselines).  <steps> is the trace length (trace.iterations), <support> the
-comma-separated indices of the final x's nonzeros and <objective> the repr
-of the final objective.  The certificate is True, False or the name of the
-error it raised.  Two checkouts that print the same lines gave
-bit-identical results and reported the same counters.  ``--compare FILE`` diffs the run against a saved
-output instead of printing it: per workload, the number of instances whose
-line differs (or is missing on one side), how many of those kept their
-steps, support, stop reason and certificate and the largest relative
-change of the final objective among them, then their seeds and labels;
-exit status 1 if any differs.  Only the workloads and seeds of the run are
-compared, so a run of fewer seeds checks a prefix of a longer file.
+and trace.rejected (None for the baselines).  <steps> is the trace length
+(trace.iterations), <support> the comma-separated indices of the final
+x's nonzeros and <objective> the repr of the final objective.  The
+certificate is True, False or the name of the error it raised.  Two
+checkouts that print the same lines gave bit-identical results and
+reported the same counters.  ``--compare FILE`` diffs the run against a
+saved output instead of printing it: per workload, the number of
+instances whose line differs (or is missing on one side), how many of
+those kept their steps, support, stop reason and certificate and the
+largest relative change of the final objective among them, then their
+seeds and labels; exit status 1 if any differs.  Only the workloads and
+seeds of the run are compared, so a run of fewer seeds checks a prefix of
+a longer file.
 Where the digests differ only because sums round differently, equal
 supports, steps, stop reasons and certificates with nearby objectives say
 that the runs took the same path.

@@ -126,12 +126,25 @@ def _whiten(Q, p, w: float, R, c, v: float):
     and L^{-1} is a read-only broadcast identity.  Products with an exact I
     return their finite operands, with a -0.0 turned into +0.0 (hence the
     + 0.0 below), so the results are those of the general route bit for
-    bit.  An inf or nan would spread nan through those products, so a stack
-    holding one takes the general route.
+    bit.  Where every c is also exactly 0 (every PCA block, as C's
+    off-diagonal entries are 0), u = y and no product is formed at all:
+    g = p, gamma = 2v and delta = 2w, again bit for bit, except where w is
+    -0.0 (delta's sign then rests on the products' zeros) or 2p overflows,
+    which take the identity route.  An inf or nan would spread nan through
+    the products, so a stack holding one takes the general route.
     """
     eye = np.eye(R.shape[-1])
-    p = p[:, :, None]
     identity = (R == eye).all()
+    if (
+        identity and not c.any() and (w != 0.0 or math.copysign(1.0, w) > 0.0)
+        and np.isfinite(Q).all() and np.isfinite(p + p).all()
+    ):
+        O = Q + 0.0
+        return (
+            np.broadcast_to(eye, R.shape), 0.5 * (O + O.transpose(0, 2, 1)), p + 0.0,
+            np.full(len(p), 2.0 * v), np.full(len(p), 2.0 * w),
+        )
+    p = p[:, :, None]
     if identity:
         L_inv = np.broadcast_to(eye, R.shape)
         t = Rinv_c = c[:, :, None] + 0.0

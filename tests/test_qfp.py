@@ -689,6 +689,72 @@ def test_whiten_takes_the_general_route_off_the_identity(where, monkeypatch):
     assert bits(got) == bits(expected)
 
 
+def identity_whiten(Q, p, w, R, c, v):
+    """_whiten's identity route before it skipped c = 0: the products with
+    an exact I written out as their operands plus 0.0, on stacks with every
+    R = I and finite operands; general_whiten elsewhere."""
+    eye = np.eye(R.shape[-1])
+    t = Rinv_c = c[:, :, None] + 0.0
+    Q_Rinv_c = Q @ Rinv_c
+    O = Q + 0.0
+    g = p[:, :, None] - Q_Rinv_c + 0.0
+    if not ((R == eye).all() and np.isfinite(O).all() and np.isfinite(t).all() and np.isfinite(g).all()):
+        return general_whiten(Q, p, w, R, c, v)
+    gamma = 2.0 * v - np.sum(t * t, axis=(1, 2))
+    delta = np.sum(Rinv_c * (Q_Rinv_c - 2.0 * p[:, :, None]), axis=(1, 2)) + 2.0 * w
+    return np.broadcast_to(eye, R.shape), 0.5 * (O + O.transpose(0, 2, 1)), g[:, :, 0], gamma, delta
+
+
+@st.composite
+def zero_c_stacks(draw):
+    """(Q, p, w, R, c, v, finite): a stack with every R = I and every c
+    +-0.0, the shape of every PCA block.  Entries of Q and p may be -0.0 or
+    large enough that 2p overflows; w and v may be +-0.0; one entry of Q or
+    p may be an inf or a nan (finite is False then)."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e308, -1e308]),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    G = draw(arrays(float, (n, m, m), elements=entries))
+    Q = np.where(np.arange(m)[:, None] <= np.arange(m)[None, :], G, G.transpose(0, 2, 1))
+    p = draw(arrays(float, (n, m), elements=entries))
+    c = draw(arrays(float, (n, m), elements=st.sampled_from([0.0, -0.0])))
+    scalars = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+    w, v = draw(scalars), draw(scalars)
+    finite = draw(st.booleans())
+    if not finite:
+        target = draw(st.sampled_from([Q, p]))
+        target.flat[draw(st.integers(0, target.size - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]),
+        )
+    return Q, p, w, np.broadcast_to(np.eye(m), (n, m, m)).copy(), c, v, finite
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(zero_c_stacks())
+def test_whiten_with_c_zero_is_the_identity_route_bit_for_bit(case):
+    # With R = I and c = 0, _whiten forms no product at all (g = p, gamma =
+    # 2v, delta = 2w), yet returns the identity route's bytes: signed zeros
+    # in Q, p and c, w and v +-0.0 and a 2p that overflows included.  A
+    # stack holding an inf or a nan takes the general route, factorization
+    # included.
+    *stack, finite = case
+    cholesky, calls = np.linalg.cholesky, []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = identity_whiten(*stack)
+        np.linalg.cholesky = lambda a: calls.append(a) or cholesky(a)
+        try:
+            got = _whiten(*stack)
+        finally:
+            np.linalg.cholesky = cholesky
+    assert bits(got) == bits(expected)
+    assert [a.shape for a in got] == [a.shape for a in expected]
+    if not finite:
+        assert len(calls) == 1
+
+
 @st.composite
 def symmetric_stacks(draw):
     """A stack of symmetric m x m matrices, m in 1..8, each of one kind:

@@ -16,16 +16,24 @@ Two routes:
   and gradients in O(m), on Python floats.
 
 ``assemble_reduced``, the batched support ranking ``pencil_keys``, the
-face infima over y >= 0 that rank bounded supports, ``face_infima``, the
-bottom eigenvector of a block's pencil that picks the support screen's
+same keys with their points, ``pencil_points``, the face infima over
+y >= 0 that rank bounded supports, ``face_infima``, the bottom
+eigenvector of a block's pencil that picks the support screen's
 candidate, ``pencil_direction``, and coordinate descent's start where the
 denominator vanishes at y = 0 (the bottom generalized eigenvector of
-(Q, R)) share one stacked change of variables, ``_whiten``.  The screen
-itself reads inertia, not eigenvalues: ``positive_definite`` tests a
-stack of symmetric matrices by their Cholesky pivots.  Where R is
+(Q, R)) share one stacked change of variables, ``_whiten``.
+``pencil_points`` and ``face_infima`` also share the map from an
+eigenpair of the bordered pencil to its critical point, ``_points``: the
+bottom eigenpair of a support's Z gives the point where the ratio takes
+the key, lambda_min(Z), as its value, which is where solve_bisection's
+root lies, so subproblem's bisection route reads a keyed support's
+solution there and calls solve_bisection only where no point resolves.
+The screen itself reads inertia, not eigenvalues: ``positive_definite``
+tests a stack of symmetric matrices by their Cholesky pivots.  Where R is
 exactly the identity (every block of a PCA problem, where C = I), L = I
 and the change of variables is a no-op: ``_whiten`` forms no factor,
-inverse or product with it, and ``assemble_reduced`` skips the
+inverse or product with it, and no product at all where c is also
+exactly 0 (every PCA block), and ``assemble_reduced`` skips the
 positive-definiteness check, with results bit-identical to the general
 route.
 """
@@ -208,6 +216,46 @@ def pencil_keys(Q, p, w: float, R, c, v: float) -> np.ndarray:
     return keys
 
 
+def pencil_points(Q, p, w: float, R, c, v: float):
+    """(keys, Y): pencil_keys' smallest bordered-pencil eigenvalue of each
+    stacked QFP, read with its eigenvector by eigh (so it can differ from
+    pencil_keys' eigvalsh in the last bits), and the point y of that
+    eigenpair, one row per QFP.
+
+    The point is face_infima's critical point of the bottom eigenvector
+    (_points), a global minimizer of the QFP with the key as its value.  Its
+    row is nan where it does not resolve: the eigenpair is unresolved (a
+    hard case, whose infimum lies at infinity), g == 0, an entry is not
+    finite, or the key is nan (pencil_keys' cases, a failed factorization).
+    """
+    n, m = p.shape
+    keys, Y = np.full(n, np.nan), np.full((n, m), np.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            L_inv, O, g, gamma, delta = _whiten(Q, p, w, R, c, v)
+            b, z = _pencil_cases(O, gamma, delta, v)
+            shift = L_inv @ c[:, :, None]
+            for case in (b, z):
+                if not case.any():
+                    continue
+                rows = slice(None) if case.all() else case  # most stacks take one case
+                O_, g_, gamma_, delta_ = O[rows], g[rows], gamma[rows], delta[rows]
+                if case is b:
+                    lam, V = np.linalg.eigh(_bordered_z(O_, g_, gamma_, delta_))
+                else:
+                    lam, V = np.linalg.eigh(_secular_matrix(O_, g_, delta_))
+                y, unresolved = _points(
+                    V[:, :, :1], g_, gamma_, delta_, L_inv[rows].transpose(0, 2, 1), shift[rows],
+                )
+                y = y[:, :, 0]
+                resolved = ~unresolved[:, 0] & (g_ != 0.0).any(axis=1) & np.isfinite(y).all(axis=1)
+                keys[rows] = lam[:, 0]
+                Y[rows] = np.where(resolved[:, None], y, np.nan)
+        except np.linalg.LinAlgError:
+            keys[:], Y[:] = np.nan, np.nan
+    return keys, Y
+
+
 def pencil_direction(q: QfpSubproblem) -> np.ndarray | None:
     """The y-part of the bottom generalized eigenvector of q's bordered
     pencil ([[Q, p], [p', 2w]], [[R, c], [c', 2v]]), where pencil_keys reads
@@ -300,7 +348,7 @@ def face_infima(Q, p, w: float, R, c, v: float) -> np.ndarray:
     point or direction with entries near 0.  A face that pencil_keys cannot
     rank, or whose factorization fails, reads -inf.
     """
-    n, m = p.shape
+    n = len(p)
     values = np.full(n, -np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -311,22 +359,16 @@ def face_infima(Q, p, w: float, R, c, v: float) -> np.ndarray:
                 return values
             L_inv_T = L_inv.transpose(0, 2, 1)
             shift = L_inv @ c[:, :, None]
-            # u = L'y + L^{-1}c, so a point is y = L^{-T} (u - L^{-1}c).
             g_nonzero = np.any(g != 0.0, axis=1)
             finite = np.full(n, np.inf)
             if b.any():
                 lam, V = np.linalg.eigh(_bordered_z(O[b], g[b], gamma[b], delta[b]))
-                border = V[:, m, :]
-                U = V[:, :m, :] * (np.sqrt(gamma[b])[:, None] / border)[:, None, :]
-                unresolved = (np.abs(border) < GAMMA_FLOOR) & g_nonzero[b][:, None]
-                finite[b] = _critical_minimum(lam, L_inv_T[b] @ (U - shift[b]), unresolved)
+                Y, unresolved = _points(V, g[b], gamma[b], delta[b], L_inv_T[b], shift[b])
+                finite[b] = _critical_minimum(lam, Y, unresolved & g_nonzero[b][:, None])
             if z.any():
                 lam, V = np.linalg.eigh(_secular_matrix(O[z], g[z], delta[z]))
-                ga = np.einsum("ni,nij->nj", g[z], V)
-                U = V * (-delta[z][:, None] / ga)[:, None, :]
-                norm_g = np.sqrt(np.sum(g[z] * g[z], axis=1))
-                unresolved = np.abs(ga) < GAMMA_FLOOR * norm_g[:, None]
-                finite[z] = _critical_minimum(lam, L_inv_T[z] @ (U - shift[z]), unresolved)
+                Y, unresolved = _points(V, g[z], gamma[z], delta[z], L_inv_T[z], shift[z])
+                finite[z] = _critical_minimum(lam, Y, unresolved)
             mu, E = np.linalg.eigh(O[ranked])
             D = L_inv_T[ranked] @ E
             margin = GAMMA_FLOOR * np.max(np.abs(D), axis=1)[:, None, :]
@@ -337,6 +379,30 @@ def face_infima(Q, p, w: float, R, c, v: float) -> np.ndarray:
             values[:] = -np.inf
     values[np.isnan(values)] = -np.inf
     return values
+
+
+def _points(V, g, gamma, delta, L_inv_T, shift):
+    """(Y, unresolved): the critical point of each stacked eigenvector, the
+    columns of V, and where it is not resolved.
+
+    V holds eigenvectors [a; b] of Z (m + 1 rows, gamma > 0), each at
+    u = a sqrt(gamma) / b and unresolved where |b| < GAMMA_FLOOR, or
+    eigenvectors a of O - g g'/delta (m rows, gamma == 0), each at
+    u = -a delta / g'a and unresolved where |g'a| < GAMMA_FLOOR |g|.  As
+    u = L'y + L^{-1}c, the point is y = L^{-T} (u - L^{-1}c), with L_inv_T
+    = L^{-T} and shift = L^{-1}c (N, m, 1).  A b or g'a of 0 gives entries
+    that are not finite.
+    """
+    m = g.shape[1]
+    if V.shape[1] > m:
+        border = V[:, m, :]
+        U = V[:, :m, :] * (np.sqrt(gamma)[:, None] / border)[:, None, :]
+        unresolved = np.abs(border) < GAMMA_FLOOR
+    else:
+        ga = np.einsum("ni,nij->nj", g, V)
+        U = V * (-delta[:, None] / ga)[:, None, :]
+        unresolved = np.abs(ga) < GAMMA_FLOOR * np.sqrt(np.sum(g * g, axis=1))[:, None]
+    return L_inv_T @ (U - shift), unresolved
 
 
 def _repeated(lam):

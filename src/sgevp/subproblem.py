@@ -35,13 +35,22 @@ of two:
   has 2^q faces, so only supports of at most 8 (one stack of RANK_CHUNK
   faces) are ranked this way; larger ones keep the key.
 
-A bound only ranks: the route's solver, solve_bisection (the reference
-solver) or solve_coordinate_descent, still solves every support that can
-win, so the winner and its value are those of a loop over all supports.
-A support the ranking prunes is never solved, so an error its solve would
-raise does not surface.  A block with one-coordinate supports or with a
-single support gets no bounds: every support is solved, and an error in
-any of them surfaces.
+A bound only ranks: every support that can win is still solved.  On
+coordinate descent the route's solver solves it, so the winner and its
+value are those of a loop over all supports.  On the bisection route a
+support with a finite pencil key is solved from that key's eigenpair: the
+bottom eigenvector of its Z gives the point where the ratio takes the key
+as its value, the root of J that solve_bisection would bracket and reach
+at its lower end (_keyed_solution).  Its value can differ from
+solve_bisection's by rounding, so the winner is a solve_bisection loop's
+wherever no other support's value lies within RANK_BAND of it.
+solve_bisection, the reference solver, solves the rest: unkeyed supports
+and those whose eigenpair gives no point (hard cases, g = 0), so their
+errors and its boundary escape still surface.  A support the ranking
+prunes is never solved, so an error its solve would raise does not
+surface.  A block with one-coordinate supports or with a single support
+gets no bounds: every support is solved, and an error in any of them
+surfaces.
 
 On the key-ranked routes, a block of more than SCREEN_ABOVE supports is
 screened before any key is computed (_screen), in the spirit of the
@@ -54,7 +63,9 @@ per stack of supports (qfp.positive_definite), far cheaper than their
 eigenvalues.  Supports that pass are ruled out, and only the rest are
 keyed.  Where the loop reaches tau without stopping, the ruled-out
 supports are keyed after all, so the supports solved, their order and
-the result stay those of full enumeration, bit for bit.  The screen runs
+the result stay those of full enumeration, bit for bit, but for the
+candidate's key: it is read by eigh with the candidate's point, once, and
+can differ from full enumeration's eigvalsh key by rounding.  The screen runs
 only where every support's key would be finite (qfp.pencil_direction),
 so that no support that full enumeration solves first, unranked, is
 ruled out.
@@ -78,6 +89,7 @@ from .qfp import (
     face_infima,
     pencil_direction,
     pencil_keys,
+    pencil_points,
     positive_definite,
     solve_bisection,
     solve_coordinate_descent,
@@ -244,9 +256,10 @@ def _restrict(qfp: QfpSubproblem, support) -> QfpSubproblem:
 
 def _ranked(qfp: QfpSubproblem, q: int, solve):
     """(support, solution, keyed, solved) of the best size-q support,
-    solved by solve (solve_bisection or solve_coordinate_descent), or by
-    _one_coordinate where q = 1; keyed counts the bounds computed, solved
-    the supports solved.
+    solved by solve (solve_bisection or solve_coordinate_descent), by
+    _one_coordinate where q = 1, or, on the bisection route, by
+    _keyed_solution where the support has a finite pencil key; keyed
+    counts the bounds computed, solved the supports solved.
 
     With q >= 2 and more than one support, every support gets one bound, a
     lower bound on the value solve returns there, before any support is
@@ -258,7 +271,12 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     first support with the smallest value wins, as in a loop over all
     supports that skips a nan value: a pruned support's value lies above
     its bound, and that bound above the winner's value.  Any lower bound
-    gives that winner; a tighter one solves fewer supports.
+    gives that winner; a tighter one solves fewer supports.  On the
+    bisection route a keyed support's solution is read from its key's
+    eigenpair (_keyed_solution), whose value can differ from
+    solve_bisection's on the support by rounding; there the winner is
+    that of a solve_bisection loop wherever no other support's value lies
+    within RANK_BAND of it, and its value at most the loop's plus the band.
 
     A value can lie above its key: where bisection's boundary escape stops
     short of an infimum approached at infinity, and wherever a lower bound
@@ -275,11 +293,16 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     key above tau, the full loop would have stopped there too and solved
     the same supports.  Otherwise the ruled-out supports are keyed then
     and the loop goes on over every unsolved support in (key, index)
-    order, as the full loop would.
+    order, as the full loop would.  The screen keys its candidate by eigh,
+    with the candidate's point (_pencil_point), and both are reused: the
+    candidate is keyed once, and solved at that point if it is solved.
+    That key can differ from the eigvalsh key full enumeration reads by
+    rounding, which can reorder supports whose keys tie with it.
     """
     supports = _supports(qfp.dim, q)
     total = len(supports)
-    tau, keyed = math.inf, 0
+    tau, keyed, points = math.inf, 0, {}
+    bisection = solve is solve_bisection
     if q == 1 or total == 1:
         bounds, order = np.full(total, -math.inf), np.arange(total)
     # A support has 2^q faces; beyond one stack of them (q > 8) its faces
@@ -290,13 +313,16 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
         order = _bound_order(bounds, np.arange(total))
     else:
         screen = _screen(qfp, supports) if total > SCREEN_ABOVE else None
-        tau, order = screen or (math.inf, np.arange(total))
-        keyed = int(screen is not None)  # the screen's candidate
-        bounds = np.full(total, -math.inf)
-        # A lone live support (the screen's candidate) is solved first anyway.
-        if order.size > 1:
-            bounds[order] = _pencil_keys(qfp, supports[order])
-            keyed += order.size
+        bounds, order = np.full(total, -math.inf), np.arange(total)
+        rest = order
+        if screen is not None:
+            # The screen has keyed its candidate, with the candidate's point.
+            tau, order, candidate, key, point = screen
+            bounds[candidate], points[candidate], keyed = key, point, 1
+            rest = order[order != candidate]
+        if rest.size:
+            bounds[rest] = _pencil_keys(qfp, supports[rest])
+            keyed += rest.size
         order = _bound_order(bounds, order)
     solved = {}
     best_value = math.inf
@@ -306,6 +332,8 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
                 break
             if q == 1:
                 solved[i] = _one_coordinate(qfp, supports[i, 0], solve)
+            elif bisection and math.isfinite(bounds[i]):
+                solved[i] = _keyed_solution(qfp, supports[i], float(bounds[i]), points.get(i))
             else:
                 solved[i] = solve(_restrict(qfp, supports[i]))
             # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
@@ -350,9 +378,11 @@ def _bound_order(bounds: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _screen(qfp: QfpSubproblem, supports: np.ndarray):
-    """(tau, live): the supports (rows of indices, in combination order)
-    whose pencil keys may lie at or below tau, as ascending indices into
-    supports; None where the block is not screened.
+    """(tau, live, candidate, key, y): the supports (rows of indices, in
+    combination order) whose pencil keys may lie at or below tau, as
+    ascending indices into supports, then the candidate's index into
+    supports, its key and its point (_pencil_point); None where the block
+    is not screened.
 
     The candidate is the q coordinates with the largest |entry| of the
     bottom generalized eigenvector of the block's bordered pencil (M, N)
@@ -374,7 +404,7 @@ def _screen(qfp: QfpSubproblem, supports: np.ndarray):
         return None
     q = supports.shape[1]
     candidate = np.sort(np.argsort(-np.abs(direction), kind="stable")[:q])
-    lam = float(_pencil_keys(qfp, candidate[None])[0])
+    lam, y = _pencil_point(qfp, candidate)
     if not math.isfinite(lam):
         return None
     tau = lam + 2.0 * RANK_BAND * (1.0 + abs(lam))
@@ -388,8 +418,9 @@ def _screen(qfp: QfpSubproblem, supports: np.ndarray):
     for start in range(0, len(supports), RANK_CHUNK):
         chunk = supports[start:start + RANK_CHUNK]
         live[start:start + RANK_CHUNK] = ~positive_definite(schur[chunk[:, :, None], chunk[:, None, :]])
-    live[(supports == candidate).all(axis=1)] = True
-    return tau, np.flatnonzero(live)
+    index = int(np.flatnonzero((supports == candidate).all(axis=1))[0])
+    live[index] = True
+    return tau, np.flatnonzero(live), index, lam, y
 
 
 def _pencil_keys(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
@@ -403,6 +434,48 @@ def _pencil_keys(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
             qfp.Q[S, T], qfp.p[chunk], qfp.w, qfp.R[S, T], qfp.c[chunk], qfp.v,
         )
     return keys
+
+
+def _pencil_point(qfp: QfpSubproblem, support: np.ndarray) -> tuple[float, np.ndarray]:
+    """(key, y): qfp.pencil_points of one support's principal sub-pencil,
+    its key read by eigh and its point (nan where it does not resolve)."""
+    S, T = support[:, None], support[None, :]
+    keys, Y = pencil_points(
+        qfp.Q[S, T][None], qfp.p[support][None], qfp.w, qfp.R[S, T][None], qfp.c[support][None], qfp.v,
+    )
+    return float(keys[0]), Y[0]
+
+
+def _keyed_solution(qfp: QfpSubproblem, support, key: float, y=None) -> QfpSolution:
+    """solve_bisection's solution of a keyed support, read from the bottom
+    eigenpair of its sub-pencil where that resolves to a point.
+
+    y is the support's point from _pencil_point (computed here unless
+    given).  The value is the restricted QFP's numerator over its
+    denominator at y, as solve_bisection computes it there; alpha_star is
+    the key and the certificate BOUNDARY_LOWER: the root of J lies at
+    solve_bisection's lower bracket lambda_min(Z) (where gamma == 0, at
+    lambda_min(O - g g'/delta), the smallest value the root can take).
+    Where y does not resolve (a hard case, g == 0, a failed factorization)
+    or its denominator or value is not finite and positive, solve_bisection
+    solves the support, so its errors and its boundary escape surface.
+    """
+    if y is None:
+        y = _pencil_point(qfp, support)[1]
+    if np.isfinite(y).all():
+        # QfpSubproblem.numerator and denominator of the restricted QFP,
+        # whose Q and R, principal submatrices of symmetric ones, are
+        # symmetric already.
+        S, T = support[:, None], support[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = float(0.5 * y @ qfp.Q[S, T] @ y + qfp.p[support] @ y + qfp.w)
+            den = float(0.5 * y @ qfp.R[S, T] @ y + qfp.c[support] @ y + qfp.v)
+        if 0.0 < den < math.inf and math.isfinite(num):
+            return QfpSolution(
+                y=y, value=num / den, alpha_star=key, iterations=0,
+                certificate=Certificate.BOUNDARY_LOWER,
+            )
+    return solve_bisection(_restrict(qfp, support))
 
 
 def _orthant_bounds(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:

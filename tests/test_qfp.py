@@ -27,6 +27,7 @@ from sgevp.qfp import (
     j_alpha,
     pencil_direction,
     pencil_keys,
+    pencil_points,
     positive_definite,
     _cd_start,
     projected_gradient,
@@ -845,6 +846,47 @@ def test_pencil_direction_declines_where_a_key_could_be_missing(change):
     else:
         q.p[2] = np.nan
     assert pencil_direction(q) is None
+
+
+@pytest.mark.parametrize("gamma_zero", [False, True])
+def test_pencil_points_are_minimizers_with_the_key_as_value(gamma_zero):
+    # Where a key resolves to a point, the QFP takes the key as its value
+    # there, solve_bisection's value up to rounding, and the key is
+    # pencil_keys' (eigvalsh rather than eigh) up to rounding; gamma > 0
+    # (Z) and gamma == 0 (c = 0, v = 0: O - g g'/delta).
+    rng = np.random.default_rng(61)
+    resolved = 0
+    for m in range(1, 7):
+        Q = np.array([random_sym(rng, m) for _ in range(8)])
+        R = np.array([random_spd(rng, m) for _ in range(8)])
+        p = rng.standard_normal((8, m))
+        if gamma_zero:
+            c, v, w = np.zeros((8, m)), 0.0, 0.1 + abs(rng.standard_normal())
+        else:  # w and v are shared: v keeps every gamma above 1
+            c = rng.standard_normal((8, m))
+            v = 0.5 * max(float(ci @ np.linalg.solve(Ri, ci)) for ci, Ri in zip(c, R)) + 0.5
+            w = float(rng.standard_normal())
+        keys, Y = pencil_points(Q, p, w, R, c, v)
+        assert np.allclose(keys, pencil_keys(Q, p, w, R, c, v), rtol=1e-12, atol=1e-12)
+        for i, (key, y) in enumerate(zip(keys, Y)):
+            if not np.isfinite(y).all():
+                continue
+            resolved += 1
+            q = QfpSubproblem(Q=Q[i], p=p[i], w=w, R=R[i], c=c[i], v=v)
+            assert abs(q.value(y) - key) <= 1e-9 * (1.0 + abs(key))
+            assert abs(solve_bisection(q).value - key) <= 1e-9 * (1.0 + abs(key))
+    assert resolved >= 40
+
+
+@pytest.mark.parametrize("p", [[0.0, 1.0], [0.0, 0.0]], ids=["hard case", "g = 0"])
+def test_pencil_points_leave_hard_cases_and_g_zero_unresolved(p):
+    # Q = diag(-1, 1) with g orthogonal to its bottom eigenvector e1: the
+    # bottom eigenvector of Z is [e1; 0], whose b = 0 gives no point (the
+    # infimum -1 lies at infinity); with g = 0 no point is read either.
+    stack = (np.diag([-1.0, 1.0])[None], np.array([p]), 0.0, np.eye(2)[None], np.zeros((1, 2)), 0.5)
+    keys, Y = pencil_points(*stack)
+    assert keys[0] == pytest.approx(-1.0, abs=1e-12)
+    assert np.isnan(Y).all()
 
 
 def test_coordinate_descent_start_refuses_an_indefinite_R():

@@ -30,6 +30,7 @@ from sgevp.subproblem import (
     BlockSubproblem,
     _orthant_bounds,
     _pencil_keys,
+    _pencil_point,
     _ranked,
     build_block_subproblem,
     solve_exact,
@@ -417,10 +418,51 @@ def check_ranked_matches_loop(sub, method, solve, strict=True):
     assert tuple(support) == support_loop
 
 
+def check_bisection_route_near_loop(sub):
+    """solve_exact(sub) against exact_by_loop(sub), a solve_bisection loop.
+
+    The bisection route reads a keyed support's solution from its bottom
+    eigenpair (_keyed_solution), which can land a few ulps off the loop's
+    value, either side.  So the value is at most the loop's best plus the
+    band RANK_BAND (1 + |best|), the support is the loop's wherever no
+    other support's loop value lies within that band, and no bound that
+    ranks a support exceeds its value by more than the band.  Where no
+    key resolves to a point (no support is solved from its eigenpair), the
+    result is the loop's bit for bit.  If a support's solve raises, the
+    loop's first error type is raised.  Returns (z, value)."""
+    try:
+        z_loop, best, support_loop, values, _ = exact_by_loop(sub)
+    except SgevpError as error:
+        with pytest.raises(type(error)):
+            solve_exact(sub)
+        return None
+    qfp = sub.qfp
+    q = min(sub.budget, qfp.dim)
+    supports = np.array(list(combinations(range(qfp.dim), q)))
+    keys = _pencil_keys(qfp, supports)
+    ranked = np.isfinite(keys) & np.isfinite(values)
+    assert np.all((keys - values)[ranked] <= RANK_BAND * (1.0 + np.abs(values[ranked])))
+    z, value = solve_exact(sub)
+    support = _ranked(qfp, q, solve_bisection)[0]
+    assert np.all(z[np.setdiff1d(np.arange(qfp.dim), support)] == 0.0)
+    band = RANK_BAND * (1.0 + abs(best))
+    assert value <= best + band
+    if np.count_nonzero(values <= best + band) == 1:
+        assert tuple(support) == support_loop
+    resolved = [np.isfinite(_pencil_point(qfp, row)[1]).all() for row in supports]
+    if q == 1 or len(supports) == 1 or not any(resolved):
+        assert z.tobytes() == z_loop.tobytes() and value == best
+        assert tuple(support) == support_loop
+    return z, value
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(block_cases())
+@example(BlockSubproblem(qfp=QfpSubproblem(
+    Q=1e-5 * np.eye(3), p=np.array([2e-5, 0.0, 0.0]), w=2e-5, R=np.eye(3) / 2, c=np.zeros(3), v=0.0,
+), budget=2))
 def test_ranked_enumeration_matches_bisection_loop(sub):
-    check_ranked_matches_loop(sub, "bisection", solve_bisection)
+    check_bisection_route_near_loop(sub)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -842,22 +884,33 @@ def pca_block(k, q):
     return build_block_subproblem(problem, x, np.arange(k), 1e-5)
 
 
+def counting(calls, function, count=len):
+    """function, wrapped to append count(its second argument) to calls."""
+    def wrapped(qfp, supports, *args):
+        calls.append(count(supports))
+        return function(qfp, supports, *args)
+    return wrapped
+
+
 def test_screen_keys_few_supports_of_a_pca_block(monkeypatch):
     # k = 12, q = 6: 924 supports; the screen rules out all but a few
-    # before any key is computed, and the winner is the full loop's.
+    # before any key is computed, and the winner is the full loop's.  The
+    # screen keys its candidate with its point (_pencil_point), and the
+    # other live supports by their keys alone.  The winner is not the
+    # candidate here: it is solved at its own eigenpair's point, one more
+    # _pencil_point call that keys nothing, and solve_bisection is never
+    # called.
     sub = pca_block(12, 6)
-    keyed = []
-
-    def counted(qfp, supports):
-        keyed.append(len(supports))
-        return _pencil_keys(qfp, supports)
-
-    monkeypatch.setattr(subproblem, "_pencil_keys", counted)
+    keyed, points, bisected = [], [], []
+    monkeypatch.setattr(subproblem, "_pencil_keys", counting(keyed, _pencil_keys))
+    monkeypatch.setattr(subproblem, "_pencil_point", counting(points, _pencil_point, lambda _: 1))
+    monkeypatch.setattr(subproblem, "solve_bisection", lambda q: bisected.append(q) or solve_bisection(q))
     tally = [0, 0, 0]
     z, value = solve_exact(sub, tally=tally)
-    assert tally == [924, sum(keyed), 1] and sum(keyed) < 20
-    z_loop, value_loop = exact_by_loop(sub)[:2]
-    assert z.tobytes() == z_loop.tobytes() and value == value_loop
+    assert tally == [924, sum(keyed) + 1, 1] and sum(keyed) < 20
+    assert points == [1, 1] and bisected == []
+    monkeypatch.undo()
+    assert check_bisection_route_near_loop(sub) == (pytest.approx(z, abs=0.0), value)
 
 
 def test_screen_keys_the_ruled_out_supports_where_the_loop_reaches_tau(monkeypatch):
@@ -869,17 +922,15 @@ def test_screen_keys_the_ruled_out_supports_where_the_loop_reaches_tau(monkeypat
     sub = BlockSubproblem(qfp=qfp, budget=5)
     live = subproblem._screen(qfp, np.array(list(combinations(range(12), 5))))[1]
     keyed = []
-
-    def counted(qfp, supports):
-        keyed.append(len(supports))
-        return _pencil_keys(qfp, supports)
-
-    monkeypatch.setattr(subproblem, "_pencil_keys", counted)
+    monkeypatch.setattr(subproblem, "_pencil_keys", counting(keyed, _pencil_keys))
+    monkeypatch.setattr(subproblem, "_pencil_point", counting(keyed, _pencil_point, lambda _: 1))
     z, value = solve_exact(sub, "coordinate-descent")
-    assert 1 < live.size < 792 // 2 and keyed == [1, live.size, 792 - live.size]
+    # The candidate (keyed with its point), the rest of the live supports,
+    # then the ruled-out ones: each support keyed once.
+    assert 1 < live.size < 792 // 2 and keyed == [1, live.size - 1, 792 - live.size]
     z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
     assert z.tobytes() == z_loop.tobytes() and value == value_loop
-    monkeypatch.setattr(subproblem, "_pencil_keys", _pencil_keys)
+    monkeypatch.undo()
     assert ranked_solves(qfp, 5, solve_coordinate_descent, SCREEN_ABOVE) == ranked_solves(
         qfp, 5, solve_coordinate_descent, math.inf,
     )
@@ -903,7 +954,7 @@ def test_screen_rules_out_only_supports_keyed_above_tau():
         screen = subproblem._screen(sub.qfp, supports)
         if screen is None:
             continue
-        tau, live = screen
+        tau, live = screen[:2]
         out = np.ones(len(supports), dtype=bool)
         out[live] = False
         keys = _pencil_keys(sub.qfp, supports)
@@ -934,10 +985,13 @@ def test_ranked_enumeration_at_block_size_cap():
     assert tally[0] == 184_756 and tally[1] < 0.01 * tally[0]
     support = np.flatnonzero(z)
     assert support.size == 10
-    assert value == solve_bisection(restrict(sub.qfp, support)).value
+    # The winner is solved from its eigenpair, a few ulps off bisection's
+    # value on the same support.
+    band = RANK_BAND * (1.0 + abs(value))
+    assert abs(value - solve_bisection(restrict(sub.qfp, support)).value) <= band
     for _ in range(50):
         other = np.sort(rng.choice(MAX_BLOCK_SIZE, size=10, replace=False))
-        assert value <= solve_bisection(restrict(sub.qfp, other)).value
+        assert value <= solve_bisection(restrict(sub.qfp, other)).value + band
 
 
 def cap_block():

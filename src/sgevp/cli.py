@@ -211,9 +211,22 @@ def _bench_one(payload):
     return solver, problem.s, trace
 
 
+def _bench_threads() -> int:
+    """The bench's worker processes, SGEVP_THREADS (default 1): an integer
+    >= 1, or ConfigError."""
+    value = os.environ.get("SGEVP_THREADS", "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"SGEVP_THREADS expects an integer >= 1, got {value!r}")
+    return threads
+
+
 def cmd_bench(args) -> int:
-    # Both lists, and every sparsity against the problem, are checked before
-    # the first job runs.
+    # Both lists, SGEVP_THREADS and every sparsity against the problem are
+    # checked before the first job runs.
     solvers = [token.strip() for token in args.solvers.split(",") if token.strip()]
     if not solvers or not set(solvers) <= set(_SOLVERS):
         raise ConfigError(f"--solvers expects a comma-separated list of {', '.join(_SOLVERS)}, "
@@ -222,14 +235,16 @@ def cmd_bench(args) -> int:
         s_list = [int(token) for token in args.s_list.split(",")]
     except ValueError:
         raise ConfigError(f"--s-list expects comma-separated integers, got {args.s_list!r}") from None
+    threads = _bench_threads()
     data = load_dataset(args)
     instances = {s: build_problem(args.app, data, s) for s in s_list}
     params = {option: getattr(args, option) for option in _CONFIG_FIELDS}
     params["seed"] = args.seed
     jobs = [(instances[s], solver, params) for solver in solvers for s in s_list]
-    threads = int(os.environ.get("SGEVP_THREADS", "1"))
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # The fork start method starts every worker up front, so the pool
+        # has no more workers than jobs.
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_bench_one, jobs))
     else:
         results = [_bench_one(job) for job in jobs]

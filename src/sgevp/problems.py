@@ -115,6 +115,13 @@ class Dataset:
             raise DegenerateData("feature matrix contains NaN/Inf")
         if self.X.shape[0] < 2:
             raise DegenerateData("need at least two samples")
+        if self.y is not None:
+            if self.y.shape != (self.X.shape[0],):
+                raise DimensionMismatch(
+                    f"labels have shape {self.y.shape}, expected ({self.X.shape[0]},)"
+                )
+            if not np.all(np.isfinite(self.y)):
+                raise DegenerateData("labels contain NaN/Inf")
 
 
 def _covariance(rows: np.ndarray) -> np.ndarray:

@@ -413,3 +413,67 @@ def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
     assert run(args + ["--outdir", str(parallel)]) == 0
     assert (serial / "objective_vs_s.csv").read_bytes() == \
         (parallel / "objective_vs_s.csv").read_bytes()
+
+
+def test_solve_refuses_a_nan_label(tmp_path, capsys):
+    # A nan in a labeled CSV's last column is a data error (exit 3); it
+    # used to drop its row from both FDA classes.
+    rows = ["f0,f1,f2,label"] + [
+        f"{i % 3}.5,{i},{i * i % 7},{'nan' if i == 4 else (1 if i % 2 else -1)}" for i in range(10)
+    ]
+    data = tmp_path / "nan_label.csv"
+    data.write_text("\n".join(rows) + "\n")
+    code = run(["solve", "--data", str(data), "--labeled", "--app", "fda", "--solver", "dec-b",
+                "--s", "2", "--k", "3", "--random", "1", "--swap", "2",
+                "--out", str(tmp_path / "trace.json")])
+    assert code == 3
+    assert "labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["two", "1.5", "0", "-2", ""])
+def test_bench_refuses_a_bad_thread_count(tmp_path, monkeypatch, capsys, threads):
+    # SGEVP_THREADS must be an integer >= 1; it is checked before the first
+    # job runs (a non-integer used to end in a ValueError traceback).
+    from sgevp import cli
+
+    data = gen_dataset(tmp_path)
+    jobs = []
+    monkeypatch.setattr(cli, "_bench_one", lambda payload: jobs.append(payload))
+    monkeypatch.setenv("SGEVP_THREADS", threads)
+    outdir = tmp_path / "out"
+    code = run(["bench", "--data", str(data), "--labeled", "--app", "pca", "--solvers", "dec-b",
+                "--s-list", "2,4", "--k", "6", "--random", "4", "--swap", "2",
+                "--outdir", str(outdir)])
+    assert code == 2
+    assert "SGEVP_THREADS" in capsys.readouterr().err
+    assert jobs == [] and not outdir.exists()
+
+
+def test_bench_pool_has_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # Under the fork start method the pool starts all its workers up front,
+    # so SGEVP_THREADS = 8 with two jobs asks for two.  The executor here
+    # records the request and runs the jobs in this process.
+    from sgevp import cli
+
+    requested = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, jobs):
+            return map(function, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setenv("SGEVP_THREADS", "8")
+    data = gen_dataset(tmp_path, m=30, d=8)
+    assert run(["bench", "--data", str(data), "--labeled", "--app", "pca", "--solvers", "dec-b",
+                "--s-list", "2,3", "--k", "4", "--random", "2", "--swap", "2", "--fixed-timing",
+                "--outdir", str(tmp_path / "out")]) == 0
+    assert requested == [2]

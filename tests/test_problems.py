@@ -41,6 +41,23 @@ def test_dataset_validation():
         Dataset(X=np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), ()])
+def test_dataset_refuses_labels_of_the_wrong_shape(shape):
+    # One label per row of X: a short label vector used to reach build_fda,
+    # which died with a bare IndexError.
+    with pytest.raises(DimensionMismatch, match="labels"):
+        Dataset(X=np.ones((6, 3)), y=np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_refuses_a_non_finite_label(bad):
+    # A nan label used to drop its row from both of build_fda's classes.
+    y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    y[2] = bad
+    with pytest.raises(DegenerateData, match="labels"):
+        Dataset(X=np.arange(18.0).reshape(6, 3), y=y)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("matrix", ["A", "C"])
 def test_problem_instance_rejects_non_finite(matrix, bad):

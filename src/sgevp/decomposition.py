@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fractional1d import solve_1d  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 from .fractional1d import solve_1d_core, solve_1d_values
-from .problems import ProblemInstance, objective, products, quadratic_forms
+from .problems import ProblemInstance, checked_iterate, objective, products, quadratic_forms
 from .subproblem import MAX_BLOCK_SIZE, build_block_subproblem, line_solution, solve_exact
 from .working_set import (
     select_hybrid,
@@ -497,8 +497,9 @@ def refine_block_k(problem: ProblemInstance, x: np.ndarray, k: int) -> tuple[np.
     This is the deterministic working-set rule that enumerates all blocks,
     feasible only at desk scale; it drives the iterate to a block-k
     stationary point (up to that threshold), where block_k_measure vanishes.
+    DimensionMismatch unless x has shape (n,).
     """
-    x = np.asarray(x, dtype=float).copy()
+    x = checked_iterate(problem, x).copy()
     f = objective(problem, x)
     tol = 1e-10 * (1.0 + abs(f))
     for _ in range(100):
@@ -515,9 +516,10 @@ def refine_block_k(problem: ProblemInstance, x: np.ndarray, k: int) -> tuple[np.
 
 def block_k_measure(problem: ProblemInstance, x: np.ndarray, k: int) -> float:
     """Mean squared distance from x_B to the exact block optimizer
-    (theta = 0) over all C(n, k) blocks; zero iff x is block-k optimal."""
+    (theta = 0) over all C(n, k) blocks; zero iff x is block-k optimal.
+    DimensionMismatch unless x has shape (n,)."""
     n = problem.dim
-    x = np.asarray(x, dtype=float)
+    x = checked_iterate(problem, x)
     total = 0.0
     for B in _blocks(n, k):
         sub = build_block_subproblem(problem, x, B, 0.0)
@@ -543,12 +545,13 @@ def certify_block2_stationary(
     tol is absolute: a move fails the certificate when it lowers the
     objective by more than tol.  Polish stops at the relative threshold
     1e-9 (1 + |f|) instead, so on objectives of large magnitude a polished
-    iterate can fail a small absolute tol.
+    iterate can fail a small absolute tol.  DimensionMismatch unless x has
+    shape (n,).
     """
     # Written as what is valid, so that a NaN tol, which passes every point, fails it.
     if not 0.0 <= tol < inf:
         raise ConfigError("tol must be finite and nonnegative")
-    x = np.asarray(x, dtype=float)
+    x = checked_iterate(problem, x)
     f_x = objective(problem, x)
     Ax, Cx = products(problem, x)
     S, Z = support_and_zero(x)

@@ -86,10 +86,19 @@ def quadratic_forms(problem: ProblemInstance, x: np.ndarray) -> tuple[float, flo
     return num, den
 
 
+def checked_iterate(problem: ProblemInstance, x) -> np.ndarray:
+    """x as a float array, or DimensionMismatch unless it has shape (n,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.dim,):
+        raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.dim},)")
+    return x
+
+
 def objective(problem: ProblemInstance, x: np.ndarray) -> float:
     """x'Ax / x'Cx, the ratio of quadratic_forms.  The solver divides the
-    same two forms, so the objectives it records equal this bit for bit."""
-    num, den = quadratic_forms(problem, x)
+    same two forms, so the objectives it records equal this bit for bit.
+    DimensionMismatch unless x has shape (n,)."""
+    num, den = quadratic_forms(problem, checked_iterate(problem, x))
     return num / den
 
 

@@ -25,6 +25,7 @@ from sgevp.errors import (
     ConfigError,
     DegenerateDenominator,
     DenominatorCollapse,
+    DimensionMismatch,
     InvalidK,
     SgevpError,
     TooLarge,
@@ -351,6 +352,25 @@ def test_block_k_measure_refuses_k_above_the_block_cap():
     for run in (block_k_measure, refine_block_k):
         with pytest.raises(InvalidK, match=r"k=21 outside \[1, 20\]"):
             run(problem, np.eye(21)[0], k=21)
+
+
+@pytest.mark.parametrize("shape", [(5,), (8,), (12,), (10, 1)])
+@pytest.mark.parametrize("function", ["objective", "certify", "block_k_measure", "refine_block_k"])
+def test_an_iterate_of_the_wrong_shape_is_refused(function, shape):
+    # On n = 10, an x of another shape used to end in numpy's ValueError
+    # (certify) or IndexError (block_k_measure), or to be priced silently
+    # (objective).
+    problem = random_problem(np.random.default_rng(82), 10, 3)
+    x = np.zeros(shape)
+    x.flat[:2] = [1.0, -0.5]
+    run = {
+        "objective": lambda: objective(problem, x),
+        "certify": lambda: certify_block2_stationary(problem, x, tol=1e-6),
+        "block_k_measure": lambda: block_k_measure(problem, x, k=2),
+        "refine_block_k": lambda: refine_block_k(problem, x, k=2),
+    }[function]
+    with pytest.raises(DimensionMismatch, match=r"expected \(10,\)"):
+        run()
 
 
 def test_refine_block_k_never_increases():

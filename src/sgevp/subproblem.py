@@ -21,10 +21,11 @@ of two:
   eigenvalue of its bordered pencil ([[Q, p], [p', 2w]], [[R, c],
   [c', 2v]]) (Golub, "Some modified matrix eigenvalue problems", SIAM Rev.
   1973), the lambda_min(Z) that solve_bisection brackets (qfp.pencil_keys,
-  batched).  It bounds every solver's value from below, lower bound or
-  not, and ranks the bisection route and coordinate descent without a
-  lower bound or with lower_bound < 0 (there a face fixes coordinates at
-  the bound, so a block has 3^k faces).
+  batched; on the bisection route qfp.pencil_points, which reads each key
+  with its eigenvector and the point it gives).  It bounds every solver's
+  value from below, lower bound or not, and ranks the bisection route and
+  coordinate descent without a lower bound or with lower_bound < 0 (there
+  a face fixes coordinates at the bound, so a block has 3^k faces).
 - With lower_bound == 0, the infimum over y >= 0 on the support: the
   smallest infimum over its faces, the sub-supports with every other entry
   at 0, empty face included.  A face's infimum is its smallest critical
@@ -38,10 +39,11 @@ of two:
 A bound only ranks: every support that can win is still solved.  On
 coordinate descent the route's solver solves it, so the winner and its
 value are those of a loop over all supports.  On the bisection route a
-support with a finite pencil key is solved from that key's eigenpair: the
-bottom eigenvector of its Z gives the point where the ratio takes the key
-as its value, the root of J that solve_bisection would bracket and reach
-at its lower end (_keyed_solution).  Its value can differ from
+support with a finite pencil key is solved from that key's eigenpair,
+computed with the key: the bottom eigenvector of its Z gives the point
+where the ratio takes the key as its value, the root of J that
+solve_bisection would bracket and reach at its lower end
+(_keyed_solution).  Its value can differ from
 solve_bisection's by rounding, so the winner is a solve_bisection loop's
 wherever no other support's value lies within RANK_BAND of it.
 solve_bisection, the reference solver, solves the rest: unkeyed supports
@@ -63,9 +65,9 @@ per stack of supports (qfp.positive_definite), far cheaper than their
 eigenvalues.  Supports that pass are ruled out, and only the rest are
 keyed.  Where the loop reaches tau without stopping, the ruled-out
 supports are keyed after all, so the supports solved, their order and
-the result stay those of full enumeration, bit for bit, but for the
-candidate's key: it is read by eigh with the candidate's point, once, and
-can differ from full enumeration's eigvalsh key by rounding.  The screen runs
+the result stay those of full enumeration, bit for bit.  The candidate is
+keyed once, by the screen (with its point on the bisection route), and
+that key is reused.  The screen runs
 only where every support's key would be finite (qfp.pencil_direction),
 so that no support that full enumeration solves first, unranked, is
 ruled out.
@@ -293,16 +295,30 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
     key above tau, the full loop would have stopped there too and solved
     the same supports.  Otherwise the ruled-out supports are keyed then
     and the loop goes on over every unsolved support in (key, index)
-    order, as the full loop would.  The screen keys its candidate by eigh,
-    with the candidate's point (_pencil_point), and both are reused: the
-    candidate is keyed once, and solved at that point if it is solved.
-    That key can differ from the eigvalsh key full enumeration reads by
-    rounding, which can reorder supports whose keys tie with it.
+    order, as the full loop would.  The screen's candidate is keyed once,
+    by the screen, and its key reused.
+
+    The coordinate-descent routes key supports by qfp.pencil_keys.  The
+    bisection route keys them by qfp.pencil_points instead, which reads
+    each key with its eigenvector and the point that eigenpair gives
+    (_pencil_points), the candidate included, so that each keyed support's
+    sub-pencil is whitened and eigen-solved once and a solved support's
+    point is at hand.
     """
     supports = _supports(qfp.dim, q)
     total = len(supports)
     tau, keyed, points = math.inf, 0, {}
     bisection = solve is solve_bisection
+
+    def key(index):
+        """Key the supports at index, with their points on the bisection route."""
+        if bisection:
+            bounds[index], Y = _pencil_points(qfp, supports[index])
+            points.update(zip(index.tolist(), Y))
+        else:
+            bounds[index] = _pencil_keys(qfp, supports[index])
+        return index.size
+
     if q == 1 or total == 1:
         bounds, order = np.full(total, -math.inf), np.arange(total)
     # A support has 2^q faces; beyond one stack of them (q > 8) its faces
@@ -312,17 +328,17 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
         bounds, keyed = _orthant_bounds(qfp, supports), total
         order = _bound_order(bounds, np.arange(total))
     else:
-        screen = _screen(qfp, supports) if total > SCREEN_ABOVE else None
+        screen = _screen(qfp, supports, bisection) if total > SCREEN_ABOVE else None
         bounds, order = np.full(total, -math.inf), np.arange(total)
         rest = order
         if screen is not None:
-            # The screen has keyed its candidate, with the candidate's point.
-            tau, order, candidate, key, point = screen
-            bounds[candidate], points[candidate], keyed = key, point, 1
+            # The screen has keyed its candidate (with its point on the
+            # bisection route); key the rest of the live supports.
+            tau, order, candidate, lam, point = screen
+            bounds[candidate], points[candidate], keyed = lam, point, 1
             rest = order[order != candidate]
         if rest.size:
-            bounds[rest] = _pencil_keys(qfp, supports[rest])
-            keyed += rest.size
+            keyed += key(rest)
         order = _bound_order(bounds, order)
     solved = {}
     best_value = math.inf
@@ -333,7 +349,7 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
             if q == 1:
                 solved[i] = _one_coordinate(qfp, supports[i, 0], solve)
             elif bisection and math.isfinite(bounds[i]):
-                solved[i] = _keyed_solution(qfp, supports[i], float(bounds[i]), points.get(i))
+                solved[i] = _keyed_solution(qfp, supports[i], float(bounds[i]), points[i])
             else:
                 solved[i] = solve(_restrict(qfp, supports[i]))
             # A nan value (an overflowed solve) never wins: min(best, nan) keeps best.
@@ -344,8 +360,7 @@ def _ranked(qfp: QfpSubproblem, q: int, solve):
         # live order) and go on over every unsolved support.
         ruled_out = np.ones(total, dtype=bool)
         ruled_out[order] = False
-        bounds[ruled_out] = _pencil_keys(qfp, supports[ruled_out])
-        keyed += int(ruled_out.sum())
+        keyed += key(np.flatnonzero(ruled_out))
         unsolved = np.ones(total, dtype=bool)
         unsolved[list(solved)] = False
         tau, order = math.inf, _bound_order(bounds, np.flatnonzero(unsolved))
@@ -377,12 +392,13 @@ def _bound_order(bounds: np.ndarray, index: np.ndarray) -> np.ndarray:
     return index[np.argsort(bounds[index], kind="stable")]
 
 
-def _screen(qfp: QfpSubproblem, supports: np.ndarray):
+def _screen(qfp: QfpSubproblem, supports: np.ndarray, bisection: bool = False):
     """(tau, live, candidate, key, y): the supports (rows of indices, in
     combination order) whose pencil keys may lie at or below tau, as
     ascending indices into supports, then the candidate's index into
-    supports, its key and its point (_pencil_point); None where the block
-    is not screened.
+    supports, its key and, on the bisection route, its point (_pencil_points;
+    None elsewhere, where the key is _pencil_keys'); None where the block is
+    not screened.
 
     The candidate is the q coordinates with the largest |entry| of the
     bottom generalized eigenvector of the block's bordered pencil (M, N)
@@ -404,7 +420,11 @@ def _screen(qfp: QfpSubproblem, supports: np.ndarray):
         return None
     q = supports.shape[1]
     candidate = np.sort(np.argsort(-np.abs(direction), kind="stable")[:q])
-    lam, y = _pencil_point(qfp, candidate)
+    if bisection:
+        keys, Y = _pencil_points(qfp, candidate[None])
+        lam, y = float(keys[0]), Y[0]
+    else:
+        lam, y = float(_pencil_keys(qfp, candidate[None])[0]), None
     if not math.isfinite(lam):
         return None
     tau = lam + 2.0 * RANK_BAND * (1.0 + abs(lam))
@@ -427,41 +447,45 @@ def _pencil_keys(qfp: QfpSubproblem, supports: np.ndarray) -> np.ndarray:
     """qfp.pencil_keys of each support's principal sub-pencil, computed per
     RANK_CHUNK stack."""
     keys = np.empty(len(supports))
-    for start in range(0, len(supports), RANK_CHUNK):
-        chunk = supports[start:start + RANK_CHUNK]
-        S, T = chunk[:, :, None], chunk[:, None, :]
-        keys[start:start + RANK_CHUNK] = pencil_keys(
-            qfp.Q[S, T], qfp.p[chunk], qfp.w, qfp.R[S, T], qfp.c[chunk], qfp.v,
-        )
+    for rows, stack in _sub_pencils(qfp, supports):
+        keys[rows] = pencil_keys(*stack)
     return keys
 
 
-def _pencil_point(qfp: QfpSubproblem, support: np.ndarray) -> tuple[float, np.ndarray]:
-    """(key, y): qfp.pencil_points of one support's principal sub-pencil,
-    its key read by eigh and its point (nan where it does not resolve)."""
-    S, T = support[:, None], support[None, :]
-    keys, Y = pencil_points(
-        qfp.Q[S, T][None], qfp.p[support][None], qfp.w, qfp.R[S, T][None], qfp.c[support][None], qfp.v,
-    )
-    return float(keys[0]), Y[0]
+def _pencil_points(qfp: QfpSubproblem, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, Y): qfp.pencil_points of each support's principal sub-pencil,
+    computed per RANK_CHUNK stack: its key, read by eigh, and the point its
+    bottom eigenpair gives (a row of nan where that does not resolve)."""
+    keys, Y = np.empty(len(supports)), np.empty(supports.shape)
+    for rows, stack in _sub_pencils(qfp, supports):
+        keys[rows], Y[rows] = pencil_points(*stack)
+    return keys, Y
 
 
-def _keyed_solution(qfp: QfpSubproblem, support, key: float, y=None) -> QfpSolution:
+def _sub_pencils(qfp: QfpSubproblem, supports: np.ndarray):
+    """(rows, (Q, p, w, R, c, v)) for each RANK_CHUNK stack of supports
+    (rows a slice of supports): the stack of their principal sub-QFPs."""
+    for start in range(0, len(supports), RANK_CHUNK):
+        rows = slice(start, start + RANK_CHUNK)
+        chunk = supports[rows]
+        S, T = chunk[:, :, None], chunk[:, None, :]
+        yield rows, (qfp.Q[S, T], qfp.p[chunk], qfp.w, qfp.R[S, T], qfp.c[chunk], qfp.v)
+
+
+def _keyed_solution(qfp: QfpSubproblem, support, key: float, y: np.ndarray) -> QfpSolution:
     """solve_bisection's solution of a keyed support, read from the bottom
     eigenpair of its sub-pencil where that resolves to a point.
 
-    y is the support's point from _pencil_point (computed here unless
-    given).  The value is the restricted QFP's numerator over its
-    denominator at y, as solve_bisection computes it there; alpha_star is
-    the key and the certificate BOUNDARY_LOWER: the root of J lies at
-    solve_bisection's lower bracket lambda_min(Z) (where gamma == 0, at
-    lambda_min(O - g g'/delta), the smallest value the root can take).
-    Where y does not resolve (a hard case, g == 0, a failed factorization)
-    or its denominator or value is not finite and positive, solve_bisection
+    y is the support's point from _pencil_points, with key its key.  The
+    value is the restricted QFP's numerator over its denominator at y, as
+    solve_bisection computes it there; alpha_star is the key and the
+    certificate BOUNDARY_LOWER: the root of J lies at solve_bisection's
+    lower bracket lambda_min(Z) (where gamma == 0, at lambda_min(O - g
+    g'/delta), the smallest value the root can take).  Where y does not
+    resolve (a hard case, g == 0, a failed factorization) or its
+    denominator or value is not finite and positive, solve_bisection
     solves the support, so its errors and its boundary escape surface.
     """
-    if y is None:
-        y = _pencil_point(qfp, support)[1]
     if np.isfinite(y).all():
         # QfpSubproblem.numerator and denominator of the restricted QFP,
         # whose Q and R, principal submatrices of symmetric ones, are

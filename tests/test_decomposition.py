@@ -423,10 +423,10 @@ def test_trace_counts_the_supports_of_every_block_solve(monkeypatch, app, subsol
     # solves, polish included, against wrappers that count: the supports
     # of each block's size min(budget, k) (the empty support where the
     # budget is 0), the supports handed to the pencil keys and the face
-    # bounds and the screen's candidate (_pencil_point), and the supports
-    # solved, by the route's solver, by _one_coordinate or from their
-    # eigenpairs (_keyed_solution; the deferrals of either to the solver,
-    # and _keyed_solution's own _pencil_point, count once).
+    # bounds (keys with their points on the bisection route,
+    # _pencil_points), and the supports solved, by the route's solver, by
+    # _one_coordinate or from their eigenpairs (_keyed_solution; the
+    # deferrals of either to the solver count once).
     # Polish's blocks solved on their lines (_line_move) count one support
     # per coordinate, each solved; a block the lines leave undecided goes
     # to solve_exact and is counted there.
@@ -442,9 +442,9 @@ def test_trace_counts_the_supports_of_every_block_solve(monkeypatch, app, subsol
             return function(sub, method, tally)
         return wrapped
 
-    def keyed(function, count=len):
+    def keyed(function):
         def wrapped(qfp, supports):
-            counts[1] += 0 if nested else count(supports)
+            counts[1] += len(supports)
             return function(qfp, supports)
         return wrapped
 
@@ -471,8 +471,7 @@ def test_trace_counts_the_supports_of_every_block_solve(monkeypatch, app, subsol
     monkeypatch.setattr(decomposition, "solve_exact", enumerated(decomposition.solve_exact))
     monkeypatch.setattr(decomposition, "_line_move", on_lines(decomposition._line_move))
     for name, wrap in [
-        ("_pencil_keys", keyed), ("_orthant_bounds", keyed),
-        ("_pencil_point", lambda function: keyed(function, lambda _: 1)),
+        ("_pencil_keys", keyed), ("_pencil_points", keyed), ("_orthant_bounds", keyed),
         ("_one_coordinate", solved), ("_keyed_solution", solved),
         ("solve_bisection", solved), ("solve_coordinate_descent", solved),
     ]:

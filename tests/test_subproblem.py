@@ -30,7 +30,7 @@ from sgevp.subproblem import (
     BlockSubproblem,
     _orthant_bounds,
     _pencil_keys,
-    _pencil_point,
+    _pencil_points,
     _ranked,
     build_block_subproblem,
     solve_exact,
@@ -426,10 +426,11 @@ def check_bisection_route_near_loop(sub):
     value, either side.  So the value is at most the loop's best plus the
     band RANK_BAND (1 + |best|), the support is the loop's wherever no
     other support's loop value lies within that band, and no bound that
-    ranks a support exceeds its value by more than the band.  Where no
-    key resolves to a point (no support is solved from its eigenpair), the
-    result is the loop's bit for bit.  If a support's solve raises, the
-    loop's first error type is raised.  Returns (z, value)."""
+    ranks a support exceeds its value by more than the band (the route's
+    keys, read by eigh with their points).  Where no key resolves to a
+    point (no support is solved from its eigenpair), the result is the
+    loop's bit for bit.  If a support's solve raises, the loop's first
+    error type is raised.  Returns (z, value)."""
     try:
         z_loop, best, support_loop, values, _ = exact_by_loop(sub)
     except SgevpError as error:
@@ -439,7 +440,7 @@ def check_bisection_route_near_loop(sub):
     qfp = sub.qfp
     q = min(sub.budget, qfp.dim)
     supports = np.array(list(combinations(range(qfp.dim), q)))
-    keys = _pencil_keys(qfp, supports)
+    keys, points = _pencil_points(qfp, supports)
     ranked = np.isfinite(keys) & np.isfinite(values)
     assert np.all((keys - values)[ranked] <= RANK_BAND * (1.0 + np.abs(values[ranked])))
     z, value = solve_exact(sub)
@@ -449,8 +450,7 @@ def check_bisection_route_near_loop(sub):
     assert value <= best + band
     if np.count_nonzero(values <= best + band) == 1:
         assert tuple(support) == support_loop
-    resolved = [np.isfinite(_pencil_point(qfp, row)[1]).all() for row in supports]
-    if q == 1 or len(supports) == 1 or not any(resolved):
+    if q == 1 or len(supports) == 1 or not np.isfinite(points).all(axis=1).any():
         assert z.tobytes() == z_loop.tobytes() and value == best
         assert tuple(support) == support_loop
     return z, value
@@ -842,23 +842,33 @@ def screened_cases(draw, lower_bound):
 
 
 def ranked_solves(qfp, q, solve, screen_above):
-    """The supports _ranked hands to solve, in order, and its result as
-    bytes (or the type of the error it raised), with the screen from
-    screen_above supports up."""
+    """The supports _ranked solves, in order, and its result as bytes (or
+    the type of the error it raised), with the screen from screen_above
+    supports up.  A support is recorded where solve gets it and, on the
+    bisection route, where _keyed_solution solves it from its eigenpair."""
     calls = []
 
     def recording(restricted):
         calls.append(restricted.Q.tobytes() + restricted.p.tobytes() + restricted.c.tobytes())
         return solve(restricted)
 
-    saved, subproblem.SCREEN_ABOVE = subproblem.SCREEN_ABOVE, screen_above
+    keyed_solution = subproblem._keyed_solution
+
+    def from_eigenpair(qfp, support, key, y):
+        calls.append(support.tobytes())
+        return keyed_solution(qfp, support, key, y)
+
+    saved = subproblem.SCREEN_ABOVE, subproblem.solve_bisection, subproblem._keyed_solution
+    subproblem.SCREEN_ABOVE = screen_above
+    if solve is solve_bisection:  # _ranked takes the bisection route for this solve
+        subproblem.solve_bisection, subproblem._keyed_solution = recording, from_eigenpair
     try:
         support, sol = _ranked(qfp, q, recording)[:2]
         result = support.tobytes(), sol.y.tobytes(), np.float64(sol.value).tobytes()
     except (SgevpError, RuntimeWarning) as error:
         result = type(error)
     finally:
-        subproblem.SCREEN_ABOVE = saved
+        subproblem.SCREEN_ABOVE, subproblem.solve_bisection, subproblem._keyed_solution = saved
     return calls, result
 
 
@@ -884,31 +894,31 @@ def pca_block(k, q):
     return build_block_subproblem(problem, x, np.arange(k), 1e-5)
 
 
-def counting(calls, function, count=len):
-    """function, wrapped to append count(its second argument) to calls."""
-    def wrapped(qfp, supports, *args):
-        calls.append(count(supports))
-        return function(qfp, supports, *args)
+def counting(calls, function):
+    """function (_pencil_keys or _pencil_points), wrapped to append the
+    number of supports it keys to calls."""
+    def wrapped(qfp, supports):
+        calls.append(len(supports))
+        return function(qfp, supports)
     return wrapped
 
 
 def test_screen_keys_few_supports_of_a_pca_block(monkeypatch):
     # k = 12, q = 6: 924 supports; the screen rules out all but a few
-    # before any key is computed, and the winner is the full loop's.  The
-    # screen keys its candidate with its point (_pencil_point), and the
-    # other live supports by their keys alone.  The winner is not the
-    # candidate here: it is solved at its own eigenpair's point, one more
-    # _pencil_point call that keys nothing, and solve_bisection is never
-    # called.
+    # before any key is computed, and the winner is the full loop's.  On
+    # the bisection route the screen's candidate and then the other live
+    # supports are keyed with their points (_pencil_points), each once, and
+    # the winner is solved at its point: no solve_bisection call.
     sub = pca_block(12, 6)
-    keyed, points, bisected = [], [], []
+    live = subproblem._screen(sub.qfp, np.array(list(combinations(range(12), 6))))[1]
+    keyed, bisected = [], []
     monkeypatch.setattr(subproblem, "_pencil_keys", counting(keyed, _pencil_keys))
-    monkeypatch.setattr(subproblem, "_pencil_point", counting(points, _pencil_point, lambda _: 1))
+    monkeypatch.setattr(subproblem, "_pencil_points", counting(keyed, _pencil_points))
     monkeypatch.setattr(subproblem, "solve_bisection", lambda q: bisected.append(q) or solve_bisection(q))
     tally = [0, 0, 0]
     z, value = solve_exact(sub, tally=tally)
-    assert tally == [924, sum(keyed) + 1, 1] and sum(keyed) < 20
-    assert points == [1, 1] and bisected == []
+    assert keyed == [1, live.size - 1] and live.size < 20
+    assert tally == [924, live.size, 1] and bisected == []
     monkeypatch.undo()
     assert check_bisection_route_near_loop(sub) == (pytest.approx(z, abs=0.0), value)
 
@@ -923,10 +933,9 @@ def test_screen_keys_the_ruled_out_supports_where_the_loop_reaches_tau(monkeypat
     live = subproblem._screen(qfp, np.array(list(combinations(range(12), 5))))[1]
     keyed = []
     monkeypatch.setattr(subproblem, "_pencil_keys", counting(keyed, _pencil_keys))
-    monkeypatch.setattr(subproblem, "_pencil_point", counting(keyed, _pencil_point, lambda _: 1))
     z, value = solve_exact(sub, "coordinate-descent")
-    # The candidate (keyed with its point), the rest of the live supports,
-    # then the ruled-out ones: each support keyed once.
+    # The screen's candidate, the rest of the live supports, then the
+    # ruled-out ones: each support keyed once.
     assert 1 < live.size < 792 // 2 and keyed == [1, live.size - 1, 792 - live.size]
     z_loop, value_loop = exact_by_loop(sub, solve_coordinate_descent)[:2]
     assert z.tobytes() == z_loop.tobytes() and value == value_loop
